@@ -13,7 +13,8 @@
 //! 2. `POST /v1/embed` round-trips a small table: 200, echoed `id`,
 //!    correct `count`, non-empty finite vectors, and a repeat request is
 //!    bit-identical (the engine cache and the encode path are
-//!    deterministic end to end);
+//!    deterministic end to end) and answered as a cache hit at admission:
+//!    its `x-stage-us` reads `queue=0;batch_wait=0;encode=0;...`;
 //! 3. `POST /v1/knn` ranks an obvious nearest neighbour first;
 //! 4. malformed JSON answers 400, an unknown model answers 400, an
 //!    unknown route answers 404 — errors are *answered*, never dropped;
@@ -24,7 +25,9 @@
 //!    one TCP connection across many requests, pipelined requests come
 //!    back in order, a request without the keep-alive token is answered
 //!    `Connection: close` and the socket actually closes, and an
-//!    HTTP/1.0 request defaults to close.
+//!    HTTP/1.0 request defaults to close. A pipelined burst of cache
+//!    hits whose responses total more than the reactor's 1 MiB
+//!    backpressure bound is answered in full, with no 408.
 //!
 //! Exit code 0 on success; 1 with a diagnostic on the first failure.
 
@@ -72,10 +75,15 @@ fn run(addr: SocketAddr) -> Result<(), String> {
     // 2. Embed round trip + determinism.
     let first = embed_ok(addr)?;
     let second = embed_ok(addr)?;
-    if first != second {
+    if first.body != second.body {
         return Err("repeated /v1/embed responses differ byte-for-byte".into());
     }
-    println!("embed: ok (deterministic, {} bytes)", first.len());
+    // The repeat is a cache hit: answered at admission, never queued.
+    let stages = second.header("x-stage-us").unwrap_or("");
+    if !stages.starts_with("queue=0;batch_wait=0;encode=0;") {
+        return Err(format!("repeated /v1/embed was not a fast-path hit: x-stage-us {stages:?}"));
+    }
+    println!("embed: ok (deterministic, {} bytes; repeat {stages})", first.body.len());
 
     // 3. kNN sanity.
     let knn = httpc::post(
@@ -217,9 +225,50 @@ fn keep_alive_conformance(addr: SocketAddr) -> Result<(), String> {
             return Err(format!("pipelined response #{i} carries id {id:?} (out of order?)"));
         }
     }
-    client.close();
     println!("pipelining: ok ({} in-order responses)", responses.len());
+    pipelined_hit_burst(&mut client)?;
+    client.close();
     expect_close_checks(addr)?;
+    Ok(())
+}
+
+/// Several MiB of synchronous responses (repeated cache hits on a
+/// 64-cell table, one vector per cell) from a few KB of pipelined
+/// requests, read only after a pause: every request is already in the
+/// server's parser when the unread backlog crosses the reactor's 1 MiB
+/// backpressure bound, so nothing on the socket will wake it — it must
+/// resume from its own buffer once the backlog flushes.
+fn pipelined_hit_burst(client: &mut httpc::Client) -> Result<(), String> {
+    const BURST_BYTES: usize = 8 << 20;
+    let cells: Vec<String> = (0..64).map(|i| i.to_string()).collect();
+    let body = format!(
+        r#"{{"model":"bert","level":"cell","table":{{"name":"burst","columns":[{{"header":"n","values":[{}]}}]}}}}"#,
+        cells.join(",")
+    );
+    let one = client.post("/v1/embed", &body)?;
+    if one.status != 200 {
+        return Err(format!("burst probe answered {}: {}", one.status, one.body));
+    }
+    let n = BURST_BYTES / one.body.len().max(1) + 1;
+    // A fresh socket: reading the probe grew this one's receive buffer,
+    // which would absorb more of the backlog in the kernel.
+    client.close();
+    let responses = client.post_pipelined_paused(
+        "/v1/embed",
+        &vec![body.as_str(); n],
+        Duration::from_millis(300),
+    )?;
+    let mut bytes = 0;
+    for (i, r) in responses.iter().enumerate() {
+        if r.status != 200 || r.body != one.body {
+            return Err(format!("burst response #{i} of {n} answered {}: {}", r.status, r.body));
+        }
+        bytes += r.body.len();
+    }
+    if responses.len() != n || bytes <= 1 << 20 {
+        return Err(format!("burst: {} responses, {bytes} bytes to {n} requests", responses.len()));
+    }
+    println!("pipelined burst: ok ({n} hits, {bytes} bytes, no 408)");
     Ok(())
 }
 
@@ -261,8 +310,8 @@ fn expect_close_header(raw: &str, what: &str) -> Result<(), String> {
     Ok(())
 }
 
-/// POST the fixed embed request; verify the schema; return the raw body.
-fn embed_ok(addr: SocketAddr) -> Result<String, String> {
+/// POST the fixed embed request; verify the schema; return the response.
+fn embed_ok(addr: SocketAddr) -> Result<httpc::Response, String> {
     let r = httpc::post(addr, "/v1/embed", EMBED, TIMEOUT)?;
     if r.status != 200 {
         return Err(format!("embed answered {}: {}", r.status, r.body));
@@ -295,5 +344,5 @@ fn embed_ok(addr: SocketAddr) -> Result<String, String> {
             }
         }
     }
-    Ok(r.body)
+    Ok(r)
 }

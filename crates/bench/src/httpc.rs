@@ -153,7 +153,7 @@ impl Client {
     pub fn post_pipelined(&mut self, path: &str, bodies: &[&str]) -> Result<Vec<Response>, String> {
         if self.conn.is_some() {
             self.reused += 1;
-            match self.once_pipelined(path, bodies) {
+            match self.once_pipelined(path, bodies, Duration::ZERO) {
                 Ok(resps) => return Ok(resps),
                 Err(_stale) => {
                     self.reused -= 1;
@@ -162,10 +162,27 @@ impl Client {
                 }
             }
         }
-        self.once_pipelined(path, bodies)
+        self.once_pipelined(path, bodies, Duration::ZERO)
     }
 
-    fn once_pipelined(&mut self, path: &str, bodies: &[&str]) -> Result<Vec<Response>, String> {
+    /// [`Client::post_pipelined`] without the retry, and the responses
+    /// are read only after `pause`: the server must cope with a client
+    /// that lets a large backlog of responses build up unread.
+    pub fn post_pipelined_paused(
+        &mut self,
+        path: &str,
+        bodies: &[&str],
+        pause: Duration,
+    ) -> Result<Vec<Response>, String> {
+        self.once_pipelined(path, bodies, pause)
+    }
+
+    fn once_pipelined(
+        &mut self,
+        path: &str,
+        bodies: &[&str],
+        pause: Duration,
+    ) -> Result<Vec<Response>, String> {
         if self.conn.is_none() {
             let stream = TcpStream::connect_timeout(&self.addr, self.timeout)
                 .map_err(|e| format!("connect {}: {e}", self.addr))?;
@@ -183,17 +200,30 @@ impl Client {
                 body.len(),
             ));
         }
-        conn.stream.write_all(raw.as_bytes()).map_err(|e| format!("write {path}: {e}"))?;
-        let mut resps = Vec::with_capacity(bodies.len());
-        for _ in bodies {
-            match read_framed(conn) {
-                Ok(resp) => resps.push(resp),
-                Err(e) => {
-                    self.conn = None;
-                    return Err(e);
-                }
+        // Write on a second thread while this one reads: a burst larger
+        // than the socket buffers would otherwise deadlock against a
+        // server that pauses reading until its responses are consumed.
+        let mut writer = conn.stream.try_clone().map_err(|e| format!("clone socket: {e}"))?;
+        let read = std::thread::scope(|scope| {
+            let sent = scope.spawn(move || writer.write_all(raw.as_bytes()));
+            std::thread::sleep(pause);
+            let mut resps = Vec::with_capacity(bodies.len());
+            for _ in bodies {
+                resps.push(read_framed(conn)?);
             }
-        }
+            match sent.join() {
+                Ok(Ok(())) => Ok(resps),
+                Ok(Err(e)) => Err(format!("write {path}: {e}")),
+                Err(_) => Err(format!("write {path}: writer panicked")),
+            }
+        });
+        let resps = match read {
+            Ok(resps) => resps,
+            Err(e) => {
+                self.conn = None;
+                return Err(e);
+            }
+        };
         if resps.last().is_some_and(|r| {
             r.header("connection").is_some_and(|v| v.eq_ignore_ascii_case("close"))
         }) {

@@ -173,26 +173,26 @@ impl EncodingCache {
 
     /// Look up a fingerprint, refreshing its recency on a hit.
     pub fn get(&self, fp: Fingerprint) -> Option<Arc<ModelEncoding>> {
+        let hit = self.peek(fp);
+        let counter = if hit.is_some() { &self.hits } else { &self.misses };
+        counter.fetch_add(1, Ordering::Relaxed);
+        hit
+    }
+
+    /// Look up a fingerprint without counting a hit or a miss (recency
+    /// is still refreshed on a hit): for a caller whose lookup was
+    /// already counted and that only re-checks for an entry admitted
+    /// since.
+    pub(crate) fn peek(&self, fp: Fingerprint) -> Option<Arc<ModelEncoding>> {
         if !self.enabled() {
-            self.misses.fetch_add(1, Ordering::Relaxed);
             return None;
         }
         let stamp = self.clock.fetch_add(1, Ordering::Relaxed);
         let mut shard = lock_recover(self.shard(fp));
-        match shard.map.get_mut(&fp.0) {
-            Some(e) => {
-                e.stamp = stamp;
-                let v = Arc::clone(&e.value);
-                drop(shard);
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                Some(v)
-            }
-            None => {
-                drop(shard);
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-        }
+        shard.map.get_mut(&fp.0).map(|e| {
+            e.stamp = stamp;
+            Arc::clone(&e.value)
+        })
     }
 
     /// Insert an encoding, evicting least-recently-used entries in the

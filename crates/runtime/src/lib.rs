@@ -214,17 +214,32 @@ impl Engine {
         fp: Fingerprint,
         parent: Option<u64>,
     ) -> (Arc<ModelEncoding>, EncodeTiming) {
+        match self.lookup(fp, parent) {
+            (Some(hit), timing) => (hit, timing),
+            (None, timing) => self.encode_miss(model, table, fp, parent, timing),
+        }
+    }
+
+    /// Probe both cache tiers for `fp` — the one implementation of the
+    /// tier logic. Counts exactly one LRU lookup (hit or miss) and, on an
+    /// LRU miss with a store attached, exactly one tier-2 lookup; a
+    /// verified store record is promoted into the LRU so repeats of the
+    /// same key pay mmap+decode once. `None` means both tiers missed:
+    /// the model must run, through [`Engine::encode_misses_timed`] so
+    /// the lookup is not counted twice.
+    pub fn lookup(
+        &self,
+        fp: Fingerprint,
+        parent: Option<u64>,
+    ) -> (Option<Arc<ModelEncoding>>, EncodeTiming) {
         let mut timing = EncodeTiming::default();
         if let Some(hit) = self.cache.get(fp) {
             self.metrics.record_hit();
             obs::event(obs::Level::Trace, "cache", "hit");
             timing.cache_hit = true;
-            return (hit, timing);
+            return (Some(hit), timing);
         }
         self.metrics.record_miss();
-        // Tier 2: an LRU miss consults the persistent store before the
-        // model runs. A verified disk record is promoted into the LRU so
-        // repeats of the same key pay mmap+decode exactly once.
         if let Some(store) = self.store.get() {
             let mut span = obs::span(obs::Level::Debug, "store", "read").with_parent(parent);
             let start = Instant::now();
@@ -235,11 +250,24 @@ impl Engine {
                 self.metrics.record_tier2_hit();
                 self.cache.insert(fp, Arc::clone(&enc));
                 timing.tier2_hit = true;
-                return (enc, timing);
+                return (Some(enc), timing);
             }
             span.record("hit", 0u64);
             self.metrics.record_tier2_miss();
         }
+        (None, timing)
+    }
+
+    /// Run the model for a fingerprint both tiers missed, admit the
+    /// result into the LRU and write it through to the store.
+    fn encode_miss(
+        &self,
+        model: &dyn TableEncoder,
+        table: &Table,
+        fp: Fingerprint,
+        parent: Option<u64>,
+        mut timing: EncodeTiming,
+    ) -> (Arc<ModelEncoding>, EncodeTiming) {
         let mut span = obs::span(obs::Level::Debug, "runtime", "encode")
             .with_parent(parent)
             .with("model", model.name())
@@ -286,13 +314,47 @@ impl Engine {
         model: &dyn TableEncoder,
         tables: &[Table],
     ) -> (Vec<Arc<ModelEncoding>>, Vec<EncodeTiming>) {
+        let fps: Vec<Fingerprint> =
+            tables.iter().map(|t| fingerprint_table(model.name(), t)).collect();
+        self.batch_timed(model, tables, &fps, |table, fp, parent| {
+            self.encode_fingerprinted_timed(model, table, fp, parent)
+        })
+    }
+
+    /// Encode tables whose fingerprints `fps` an earlier
+    /// [`Engine::lookup`] already missed on both tiers: nothing is
+    /// counted as a lookup again. Same ordering, deduplication and
+    /// timing contract as [`Engine::encode_batch_timed`]. A table that an
+    /// earlier encode admitted into the LRU since its lookup is taken
+    /// from there instead of being encoded twice.
+    pub fn encode_misses_timed(
+        &self,
+        model: &dyn TableEncoder,
+        tables: &[Table],
+        fps: &[Fingerprint],
+    ) -> (Vec<Arc<ModelEncoding>>, Vec<EncodeTiming>) {
+        assert_eq!(tables.len(), fps.len(), "one fingerprint per table");
+        self.batch_timed(model, tables, fps, |table, fp, parent| match self.cache.peek(fp) {
+            Some(hit) => (hit, EncodeTiming { cache_hit: true, ..EncodeTiming::default() }),
+            None => self.encode_miss(model, table, fp, parent, EncodeTiming::default()),
+        })
+    }
+
+    /// The batch scaffolding shared by both entry points: dedup by
+    /// fingerprint, run `encode(table, fp, parent span)` once per unique
+    /// table on the pool, fan results back out in input order.
+    fn batch_timed(
+        &self,
+        model: &dyn TableEncoder,
+        tables: &[Table],
+        fps: &[Fingerprint],
+        encode: impl Fn(&Table, Fingerprint, Option<u64>) -> (Arc<ModelEncoding>, EncodeTiming) + Sync,
+    ) -> (Vec<Arc<ModelEncoding>>, Vec<EncodeTiming>) {
         self.metrics.record_batch();
         let mut batch_span = obs::span(obs::Level::Info, "runtime", "encode_batch")
             .with("model", model.name())
             .with("tables", tables.len())
             .with("jobs", self.config.jobs);
-        let fps: Vec<Fingerprint> =
-            tables.iter().map(|t| fingerprint_table(model.name(), t)).collect();
         // Deduplicate within the batch: map each input position to the
         // first position carrying its fingerprint.
         let mut first_of: HashMap<u128, usize> = HashMap::with_capacity(tables.len());
@@ -309,8 +371,7 @@ impl Engine {
         let parent = batch_span.id();
         let encoded: Vec<(Arc<ModelEncoding>, EncodeTiming)> =
             run_indexed(self.config.jobs, unique.len(), |u| {
-                let i = unique[u];
-                self.encode_fingerprinted_timed(model, &tables[i], fps[i], parent)
+                encode(&tables[unique[u]], fps[unique[u]], parent)
             });
         let timings = unique_slot.iter().map(|&slot| encoded[slot].1).collect();
         let out = unique_slot.into_iter().map(|slot| Arc::clone(&encoded[slot].0)).collect();

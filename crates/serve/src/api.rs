@@ -39,6 +39,7 @@ use observatory_obs::json::{escape, parse, Json};
 use observatory_search::ann::{AnnIndex, HnswConfig, SearchParams, ShardedHnsw};
 use observatory_search::knn::KnnIndex;
 use observatory_table::{Column, Table, Value};
+use std::fmt::Write;
 
 /// Hard cap on cells per served table: bounds worst-case encode cost per
 /// admitted request (oversize → 413).
@@ -198,10 +199,11 @@ pub fn parse_embed(body: &str) -> Result<EmbedRequest, ApiError> {
 
 /// Append one f64 as JSON. `Display` for finite `f64` is shortest
 /// round-trip, so the client parses back the bit-identical double;
-/// non-finite values (unrepresentable in JSON) render as `null`.
+/// non-finite values (unrepresentable in JSON) render as `null`. The
+/// digits are formatted straight into `out`: no per-value allocation.
 fn push_f64(out: &mut String, v: f64) {
     if v.is_finite() {
-        out.push_str(&format!("{v}"));
+        let _ = write!(out, "{v}");
     } else {
         out.push_str("null");
     }
@@ -239,18 +241,21 @@ pub fn render_embed_response(req: &EmbedRequest, enc: &ModelEncoding) -> String 
             .map(|(i, j)| enc.cell(i, j))
             .collect(),
     };
-    let mut out = String::with_capacity(64 + vectors.len() * 16);
+    // One allocation: ~22 bytes covers a shortest-round-trip f64 + comma.
+    let values: usize = vectors.iter().flatten().map(Vec::len).sum();
+    let mut out = String::with_capacity(128 + vectors.len() * 6 + values * 22);
     out.push('{');
     if let Some(id) = &req.id {
-        out.push_str(&format!("\"id\":\"{}\",", escape(id)));
+        let _ = write!(out, "\"id\":\"{}\",", escape(id));
     }
-    out.push_str(&format!(
+    let _ = write!(
+        out,
         "\"model\":\"{}\",\"level\":\"{}\",\"dim\":{},\"rows\":{rows},\"cols\":{cols},\"count\":{},\"embeddings\":[",
         escape(&req.model),
         req.level.as_str(),
         enc.dim(),
         vectors.len(),
-    ));
+    );
     for (i, v) in vectors.into_iter().enumerate() {
         if i > 0 {
             out.push(',');
@@ -464,7 +469,7 @@ pub fn run_knn_on(req: &KnnRequest, index: &dyn AnnIndex) -> String {
             if h > 0 {
                 out.push(',');
             }
-            out.push_str(&format!("{{\"key\":\"{}\",\"score\":", escape(&hit.key)));
+            let _ = write!(out, "{{\"key\":\"{}\",\"score\":", escape(&hit.key));
             push_f64(&mut out, hit.score);
             out.push('}');
         }
@@ -565,6 +570,20 @@ mod tests {
         let mut s = String::new();
         push_f64(&mut s, f64::NAN);
         assert_eq!(s, "null");
+    }
+
+    #[test]
+    fn f64_rendering_keeps_display_bytes() {
+        // Responses are compared byte-for-byte against earlier renders:
+        // the in-place formatting must print exactly what `Display` does.
+        let mut s = String::from("[");
+        let values = [0.0, -0.0, 1.0, 1e-7, 1e21, 123456789.0, 5e-324, -1.5e-300, 0.1 + 0.2];
+        for v in values {
+            push_f64(&mut s, v);
+            s.push(',');
+        }
+        let want: String = values.iter().map(|v| format!("{v},")).collect();
+        assert_eq!(s, format!("[{want}"));
     }
 
     #[test]

@@ -1,19 +1,23 @@
 //! The micro-batcher: the single consumer of the admission queue.
 //!
-//! One dedicated thread pops dynamically coalesced batches
+//! Only cache misses reach it: admission answers LRU and tier-2 hits
+//! itself (`Engine::lookup`), so every job here already missed both
+//! tiers. One dedicated thread pops dynamically coalesced batches
 //! ([`crate::queue::Queue::pop_batch`]), expires jobs whose deadline
 //! passed while queued (they are answered 408 and **never encoded** —
 //! cancelled work must not burn encode capacity), groups the survivors
 //! by model, and hands each group to the shared engine's
-//! `encode_batch_timed`, whose results are bit-identical to a serial
-//! encode loop at any `--jobs` value. Model adapters are constructed
-//! once and cached for the lifetime of the batcher (deterministic weight
-//! generation is expensive relative to a small encode).
+//! `encode_misses_timed`, whose results are bit-identical to a serial
+//! encode loop at any `--jobs` value and which counts no second lookup.
+//! Model adapters are constructed once and cached for the lifetime of
+//! the batcher (deterministic weight generation is expensive relative
+//! to a small encode).
 //!
 //! Every reply carries a [`Stages`] breakdown: `queue_us` (admission →
 //! pop) and `batch_wait_us` (pop → encode call) are stamped here from
-//! monotonic clocks; `encode_us`/`store_us`/`write_us` come from the
-//! engine's per-position [`observatory_runtime::EncodeTiming`]. The
+//! monotonic clocks; `store_us` is the admission-side tier-2 probe the
+//! job carries; `encode_us`/`write_us` come from the engine's
+//! per-position [`observatory_runtime::EncodeTiming`]. The
 //! flight recorder sees an event per terminal outcome (done / expired /
 //! panic), and expiry and panic trigger an anomaly dump.
 //!
@@ -174,24 +178,31 @@ fn encode_group(
             }
         },
     };
+    // Admission fingerprinted each table under the registry name.
+    debug_assert_eq!(model.name(), name, "registry name and model name agree");
     let mut tables: Vec<Table> = Vec::with_capacity(jobs.len());
-    // (reply, rid, enqueued) per position, aligned with `tables`.
+    let mut fps = Vec::with_capacity(jobs.len());
+    // (reply, rid, enqueued, store_us) per position, aligned with `tables`.
     let mut meta = Vec::with_capacity(jobs.len());
     for j in jobs {
         tables.push(j.table);
-        meta.push((j.reply, j.rid, j.enqueued));
+        fps.push(j.fp);
+        meta.push((j.reply, j.rid, j.enqueued, j.store_us));
     }
     let encode_start = Instant::now();
     let batch_wait_us = as_us(encode_start.saturating_duration_since(popped));
-    let result = catch_unwind(AssertUnwindSafe(|| engine.encode_batch_timed(model, &tables)));
+    let result =
+        catch_unwind(AssertUnwindSafe(|| engine.encode_misses_timed(model, &tables, &fps)));
     match result {
         Ok((encodings, timings)) => {
-            for (((reply, rid, enqueued), enc), t) in meta.into_iter().zip(encodings).zip(timings) {
+            for (((reply, rid, enqueued, store_us), enc), t) in
+                meta.into_iter().zip(encodings).zip(timings)
+            {
                 let stages = Stages {
                     queue_us: as_us(popped.saturating_duration_since(enqueued)),
                     batch_wait_us,
                     encode_us: t.encode_us,
-                    store_us: t.store_us,
+                    store_us,
                     write_us: t.write_us,
                 };
                 flight::record(FlightKind::Done, &rid, stages.as_array(), 200);
@@ -205,10 +216,11 @@ fn encode_group(
             obs::event_with(obs::Level::Error, "serve", "encode_panic", || {
                 vec![("message", msg.clone())]
             });
-            for (reply, rid, enqueued) in meta {
+            for (reply, rid, enqueued, store_us) in meta {
                 let stages = Stages {
                     queue_us: as_us(popped.saturating_duration_since(enqueued)),
                     batch_wait_us,
+                    store_us,
                     ..Stages::default()
                 };
                 flight::record(FlightKind::Panic, &rid, stages.as_array(), 500);
@@ -224,7 +236,7 @@ fn encode_group(
 mod tests {
     use super::*;
     use crate::queue::{Pushed, Reply};
-    use observatory_runtime::EngineConfig;
+    use observatory_runtime::{fingerprint_table, EngineConfig};
     use observatory_table::{Column, Value};
     use std::sync::mpsc;
 
@@ -250,7 +262,9 @@ mod tests {
             id,
             rid: format!("r{id}").into(),
             model: model.to_string(),
+            fp: fingerprint_table(model, &table),
             table,
+            store_us: 0,
             enqueued: Instant::now(),
             deadline,
             reply: tx.into(),

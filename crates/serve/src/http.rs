@@ -114,9 +114,15 @@ impl std::fmt::Display for HttpError {
 /// Feed it bytes as they arrive; pull complete requests out. A parse
 /// error is fatal for the stream (framing is lost), so after the first
 /// `Err` the parser refuses further work.
+///
+/// Consumed requests only advance an offset; the buffer is compacted
+/// once per [`RequestParser::feed`], so draining a pipelined burst of
+/// `n` requests costs O(bytes), not one memmove of the rest per request.
 #[derive(Default)]
 pub struct RequestParser {
     buf: Vec<u8>,
+    /// Bytes of `buf` already consumed as complete requests.
+    pos: usize,
     /// Set once a fatal error was surfaced; the connection must close.
     dead: bool,
 }
@@ -130,26 +136,33 @@ impl RequestParser {
     /// Append newly received bytes.
     pub fn feed(&mut self, bytes: &[u8]) {
         if !self.dead {
+            self.buf.drain(..self.pos);
+            self.pos = 0;
             self.buf.extend_from_slice(bytes);
         }
     }
 
+    /// The buffered bytes not yet consumed as a complete request.
+    fn rest(&self) -> &[u8] {
+        &self.buf[self.pos..]
+    }
+
     /// Bytes buffered but not yet consumed as a complete request.
     pub fn buffered(&self) -> usize {
-        self.buf.len()
+        self.buf.len() - self.pos
     }
 
     /// Whether a partial request sits in the buffer (drives the
     /// slow-header / slow-body timeout).
     pub fn has_partial(&self) -> bool {
-        !self.buf.is_empty()
+        self.buffered() > 0
     }
 
     /// Whether the buffered partial request has a complete header block
     /// and is waiting on body bytes (EOF here is an I/O error, not a
     /// clean close).
     pub fn mid_body(&self) -> bool {
-        find_terminator(&self.buf).is_some()
+        find_terminator(self.rest()).is_some()
     }
 
     /// Try to extract the next complete request. `Ok(None)` means "need
@@ -159,12 +172,10 @@ impl RequestParser {
             return Ok(None);
         }
         // Tolerate stray CRLFs between pipelined requests (RFC 9112 §2.2).
-        let lead = self.buf.iter().take_while(|&&b| b == b'\r' || b == b'\n').count();
-        if lead > 0 {
-            self.buf.drain(..lead);
-        }
-        let Some(head_end) = find_terminator(&self.buf) else {
-            if self.buf.len() > MAX_HEADER_BYTES {
+        self.pos += self.rest().iter().take_while(|&&b| b == b'\r' || b == b'\n').count();
+        let buf = &self.buf[self.pos..];
+        let Some(head_end) = find_terminator(buf) else {
+            if buf.len() > MAX_HEADER_BYTES {
                 self.dead = true;
                 return Err(HttpError::HeadersTooLarge);
             }
@@ -174,7 +185,7 @@ impl RequestParser {
             self.dead = true;
             return Err(HttpError::HeadersTooLarge);
         }
-        let head = match std::str::from_utf8(&self.buf[..head_end]) {
+        let head = match std::str::from_utf8(&buf[..head_end]) {
             Ok(s) => s,
             Err(_) => {
                 self.dead = true;
@@ -226,11 +237,11 @@ impl RequestParser {
             return Err(HttpError::TooLarge);
         }
         let total = head_end + 4 + content_length;
-        if self.buf.len() < total {
+        if buf.len() < total {
             return Ok(None);
         }
-        let body = self.buf[head_end + 4..total].to_vec();
-        self.buf.drain(..total);
+        let body = buf[head_end + 4..total].to_vec();
+        self.pos += total;
         Ok(Some(Request { method, path, minor, headers, body }))
     }
 }
@@ -495,6 +506,25 @@ mod tests {
         assert_eq!((a.path.as_str(), b.path.as_str(), c.path.as_str()), ("/a", "/b", "/c"));
         assert_eq!(b.body, b"hi");
         assert_eq!(p.next_request().unwrap(), None);
+        assert_eq!(p.buffered(), 0);
+    }
+
+    #[test]
+    fn consumed_bytes_never_count_toward_the_header_cap() {
+        // A burst far larger than MAX_HEADER_BYTES parses in full: the
+        // cap applies to the unconsumed request, not to the whole buffer.
+        let one = b"GET /healthz HTTP/1.1\r\nHost: t\r\n\r\n";
+        let n = MAX_HEADER_BYTES / one.len() * 3;
+        let mut p = RequestParser::new();
+        p.feed(&one.repeat(n));
+        p.feed(b"GET /tail HTTP/1.1\r\n");
+        for _ in 0..n {
+            assert_eq!(p.next_request().unwrap().unwrap().path, "/healthz");
+        }
+        assert_eq!(p.next_request().unwrap(), None, "the tail is still partial");
+        assert_eq!(p.buffered(), 20);
+        p.feed(b"\r\n");
+        assert_eq!(p.next_request().unwrap().unwrap().path, "/tail");
         assert_eq!(p.buffered(), 0);
     }
 

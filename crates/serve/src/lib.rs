@@ -12,13 +12,20 @@
 //!
 //! ```text
 //! accept loop (nonblocking, polls shutdown+signal flags)
-//!   └─ connection thread: read_request → parse → Queue::push
-//!        ├─ Full   → 429 + Retry-After   (load shedding)
-//!        ├─ Closed → 503                 (draining)
-//!        └─ Ok     → block on the reply channel
+//!   └─ connection thread: read_request → parse → Engine::lookup
+//!        ├─ LRU / store hit → 200 at once   (never queued, never shed)
+//!        └─ miss → Queue::push
+//!             ├─ Full   → 429 + Retry-After   (load shedding)
+//!             ├─ Closed → 503                 (draining)
+//!             └─ Ok     → block on the reply channel
 //! batcher thread: Queue::pop_batch (dynamic micro-batching)
-//!   └─ expire (408, never encoded) → group by model → Engine::encode_batch
+//!   └─ expire (408, never encoded) → group by model → Engine::encode_misses_timed
 //! ```
+//!
+//! The epoll reactor (`--net epoll`) runs the same `embed` admission on
+//! its shard threads, so both net modes share one fast path: a cache hit
+//! never waits out the batcher's straggler window (`--batch-delay-us`
+//! only shapes encode batches).
 //!
 //! The admission queue is the **only** coupling between connection
 //! threads and the encoder: its depth bound keeps tail latency bounded
@@ -47,7 +54,9 @@
 //! flight-recorder events, and printed in the slow-request log line
 //! (total latency ≥ `ServeConfig::slow`). Embed responses additionally
 //! carry `x-stage-us`: the queue → batch-wait → encode → store → write
-//! breakdown measured on monotonic clocks along the pipeline.
+//! breakdown measured on monotonic clocks along the pipeline. A cache
+//! hit reports `queue=0;batch_wait=0;encode=0;store=<µs>;write=0`, with
+//! `store` its tier-2 read (0 on an LRU hit).
 
 pub mod api;
 pub mod batcher;
@@ -73,7 +82,7 @@ use observatory_obs::flight;
 use observatory_obs::flight::FlightKind;
 use observatory_obs::json::{escape, Json};
 use observatory_obs::Manifest;
-use observatory_runtime::Engine;
+use observatory_runtime::{fingerprint_table, Engine};
 use observatory_search::{AnnIndex, HnswConfig, ShardedHnsw};
 use std::io::BufReader;
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -84,7 +93,8 @@ use std::time::{Duration, Instant};
 /// Why an admitted job was not answered with an encoding.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum JobError {
-    /// The deadline passed while the job sat in the queue (→ 408).
+    /// The deadline passed before the job was encoded: already at
+    /// admission, or while it sat in the queue (→ 408).
     DeadlineExpired,
     /// The encode failed server-side, e.g. a recovered panic (→ 500).
     Internal(String),
@@ -136,7 +146,8 @@ pub struct ServeConfig {
     pub addr: String,
     /// Largest micro-batch handed to `Engine::encode_batch`.
     pub max_batch: usize,
-    /// How long a forming batch waits for stragglers.
+    /// How long a forming batch of cache misses waits for stragglers
+    /// (cache hits are answered at admission and never wait).
     pub batch_delay: Duration,
     /// Admission queue bound; beyond it requests are shed with 429.
     pub queue_depth: usize,
@@ -753,7 +764,8 @@ fn route(req: &Request, id: u64, rid: &Arc<str>, span: &mut obs::Span, shared: &
     }
 }
 
-/// Render the final embed outcome from a batcher reply.
+/// Render the final embed outcome from a reply: the batcher's, or one
+/// resolved at admission (a cache hit or an already-expired deadline).
 fn embed_reply_outcome(embed_req: &api::EmbedRequest, reply: Reply) -> Outcome {
     match reply {
         (Ok(enc), stages) => {
@@ -1242,9 +1254,14 @@ fn metrics_page(shared: &Shared) -> Outcome {
     }
 }
 
-/// `POST /v1/embed`: validate and admit. Admission is the only async
-/// edge in the server — on `Pushed::Ok` the batcher owns the job and
-/// will deliver its reply to the supplied [`ReplyTo`] sink.
+/// `POST /v1/embed`: validate, answer cache hits, admit misses.
+///
+/// A hit on either cache tier is answered right here, on the calling
+/// thread (the reactor shard or the connection thread): it never
+/// encodes, so it skips the queue, the straggler window and the
+/// batcher, and it is never shed. Only misses are admitted — the only
+/// async edge in the server: on `Pushed::Ok` the batcher owns the job
+/// and will deliver its reply to the supplied [`ReplyTo`] sink.
 fn embed(
     req: &Request,
     id: u64,
@@ -1291,13 +1308,36 @@ fn embed(
     span.record("model", &embed_req.model);
     span.record("rows", embed_req.table.num_rows());
     span.record("cols", embed_req.table.num_cols());
+    // Drain refuses every new embed, hit or miss, exactly when the
+    // queue stops admitting.
+    if shared.queue.is_closed() {
+        return draining(rid);
+    }
     let deadline_in = request_deadline(req, shared.config.deadline);
+    if deadline_in.is_zero() {
+        // Already past its deadline: 408, never looked up or encoded.
+        flight::record(FlightKind::Expired, rid, [0; 5], 408);
+        flight::dump("deadline");
+        return Routed::Done(embed_reply_outcome(
+            &embed_req,
+            (Err(JobError::DeadlineExpired), Stages::default()),
+        ));
+    }
+    let fp = fingerprint_table(&embed_req.model, &embed_req.table);
+    let (hit, probe) = shared.engine.lookup(fp, span.id());
+    if let Some(enc) = hit {
+        let stages = Stages { store_us: probe.store_us, ..Stages::default() };
+        flight::record(FlightKind::Done, rid, stages.as_array(), 200);
+        return Routed::Done(embed_reply_outcome(&embed_req, (Ok(enc), stages)));
+    }
     let now = Instant::now();
     let job = Job {
         id,
         rid: Arc::clone(rid),
         model: embed_req.model.clone(),
         table: embed_req.table.clone(),
+        fp,
+        store_us: probe.store_us,
         enqueued: now,
         deadline: now + deadline_in,
         reply,
@@ -1316,17 +1356,20 @@ fn embed(
             o.extra.push(("Retry-After", "1".to_string()));
             Routed::Done(o)
         }
-        Pushed::Closed => {
-            flight::record(FlightKind::Shed, rid, [0; 5], 503);
-            flight::dump("shed");
-            Routed::Done(Outcome::error("embed", 503, "server is draining"))
-        }
+        Pushed::Closed => draining(rid),
         Pushed::Ok { depth } => {
             span.record("queue_depth", depth);
             flight::record(FlightKind::Admit, rid, [0; 5], depth as u64);
             Routed::Pending(PendingEmbed { embed_req, deadline_in })
         }
     }
+}
+
+/// The 503 a draining server answers every new embed with.
+fn draining(rid: &str) -> Routed {
+    flight::record(FlightKind::Shed, rid, [0; 5], 503);
+    flight::dump("shed");
+    Routed::Done(Outcome::error("embed", 503, "server is draining"))
 }
 
 fn knn(req: &Request, shared: &Shared) -> Outcome {
@@ -1604,7 +1647,9 @@ mod tests {
                 id: 1,
                 rid: "r1".into(),
                 model: "bert".into(),
+                fp: fingerprint_table("bert", &table),
                 table,
+                store_us: 0,
                 enqueued: now,
                 deadline: now + Duration::from_secs(5),
                 reply: tx.into(),
@@ -2080,6 +2125,187 @@ mod tests {
         expect_eof(&mut s);
         let stats = shutdown_and_join(&handle, join);
         assert!(stats.totals.timeouts >= 1, "idle reap must tick the timeout counter");
+    }
+
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn pipelined_burst_past_backpressure_is_answered_in_full() {
+        // More than OUT_BACKPRESSURE_BYTES of synchronous responses from
+        // one write, read only after a pause so the unread backlog
+        // crosses the bound: parsing pauses there and must resume from
+        // the parser's buffer once the backlog flushes, because the
+        // socket has nothing left to signal. A stall would surface as
+        // the slow-header 408 after the (shortened) header timeout.
+        let config = ServeConfig { header_timeout: Duration::from_secs(3), ..ephemeral() };
+        let (addr, handle, join) = spawn_server(config);
+        let mut s = TcpStream::connect(addr).unwrap();
+        const BURST: usize = 1000;
+        let one = "GET /metrics HTTP/1.1\r\nHost: t\r\nConnection: keep-alive\r\n\r\n";
+        s.write_all(one.repeat(BURST).as_bytes()).unwrap();
+        std::thread::sleep(Duration::from_millis(300));
+        let mut carry = Vec::new();
+        let mut bytes = 0;
+        for i in 0..BURST {
+            let (status, _, body) = read_framed_carry(&mut s, &mut carry);
+            assert_eq!(status, 200, "response {i} of {BURST}: {body}");
+            bytes += body.len();
+        }
+        assert!(bytes > 2 << 20, "the burst must cross the 1 MiB bound, got {bytes} bytes");
+        let stats = shutdown_and_join(&handle, join);
+        assert_eq!(stats.totals.timeouts, 0, "no connection may time out");
+    }
+
+    /// A counting tier-2 double: loads (every probe) and saves.
+    #[derive(Default)]
+    struct CountingStore {
+        map: std::sync::Mutex<std::collections::HashMap<u128, observatory_models::ModelEncoding>>,
+        loads: AtomicU64,
+    }
+
+    impl observatory_runtime::EmbeddingStore for CountingStore {
+        fn load(
+            &self,
+            fp: observatory_runtime::Fingerprint,
+        ) -> Option<Arc<observatory_models::ModelEncoding>> {
+            self.loads.fetch_add(1, Ordering::SeqCst);
+            self.map.lock().unwrap().get(&fp.0).cloned().map(Arc::new)
+        }
+        fn save(
+            &self,
+            fp: observatory_runtime::Fingerprint,
+            enc: &observatory_models::ModelEncoding,
+        ) {
+            self.map.lock().unwrap().insert(fp.0, enc.clone());
+        }
+        fn flush(&self) -> std::io::Result<()> {
+            Ok(())
+        }
+        fn tier_stats(&self) -> observatory_runtime::StoreTierStats {
+            observatory_runtime::StoreTierStats::default()
+        }
+    }
+
+    /// The `x-stage-us` of an embed answered on the fast path.
+    fn is_hit_stages(v: &str) -> bool {
+        v.strip_prefix("queue=0;batch_wait=0;encode=0;store=")
+            .and_then(|rest| rest.strip_suffix(";write=0"))
+            .is_some_and(|us| us.parse::<u64>().is_ok())
+    }
+
+    #[test]
+    fn warm_embeds_skip_the_batcher_with_exact_counters() {
+        for net in [NetMode::Thread, NetMode::Epoll] {
+            let engine = Arc::new(Engine::new(EngineConfig { jobs: 2, cache_bytes: 1 << 22 }));
+            let store = Arc::new(CountingStore::default());
+            assert!(engine.attach_store(Arc::clone(&store) as _));
+            let config = ServeConfig { net, ..ephemeral() };
+            let server = Server::bind(config, Arc::clone(&engine)).unwrap();
+            let addr = server.local_addr().unwrap();
+            let handle = server.handle();
+            let join = std::thread::spawn(move || server.run());
+
+            // Cold: one LRU miss, one store probe, one batch, one encode.
+            let (status, _, cold) = post(addr, "/v1/embed", &embed_body(70));
+            assert_eq!(status, 200, "{cold}");
+            let m = engine.metrics_snapshot();
+            assert_eq!((m.cache_hits, m.cache_misses, m.tier2_misses, m.encodes), (0, 1, 1, 1));
+            assert_eq!(store.loads.load(Ordering::SeqCst), 1, "the batcher must not re-probe");
+            let batches = handle.totals().batches;
+            assert_eq!(batches, 1);
+
+            // Warm: N LRU hits, answered at admission.
+            const N: u64 = 12;
+            for _ in 0..N {
+                let (status, head, body) = post(addr, "/v1/embed", &embed_body(70));
+                assert_eq!(status, 200, "{body}");
+                assert_eq!(body, cold, "a hit renders the same bytes ({net:?})");
+                let stages = header_value(&head, "x-stage-us").unwrap();
+                assert_eq!(stages, "queue=0;batch_wait=0;encode=0;store=0;write=0");
+            }
+            let m = engine.metrics_snapshot();
+            assert_eq!(m.cache_hits + m.cache_misses, N + 1, "one LRU lookup per request");
+            assert_eq!(m.cache_hits, N);
+            assert_eq!(handle.totals().batches, batches, "hits add no batches ({net:?})");
+
+            // Tier 2: an evicted table is read back from the store once.
+            engine.clear_cache();
+            let (status, head, body) = post(addr, "/v1/embed", &embed_body(70));
+            assert_eq!(status, 200, "{body}");
+            assert_eq!(body, cold);
+            assert!(is_hit_stages(&header_value(&head, "x-stage-us").unwrap()), "{head}");
+            let m = engine.metrics_snapshot();
+            assert_eq!((m.tier2_hits, m.tier2_misses, m.encodes), (1, 1, 1));
+            assert_eq!(store.loads.load(Ordering::SeqCst), 2);
+            assert_eq!(handle.totals().batches, batches);
+
+            // A hit whose deadline already passed is still a 408, and is
+            // never looked up.
+            let lookups = m.lookups();
+            let (status, head, _) =
+                post_with(addr, "/v1/embed", &embed_body(70), "x-deadline-ms: 0\r\n");
+            assert_eq!(status, 408);
+            assert!(header_value(&head, "x-stage-us").is_some());
+            assert_eq!(engine.metrics_snapshot().lookups(), lookups);
+            let stats = shutdown_and_join(&handle, join);
+            assert_eq!(stats.totals.expired, 1);
+            assert_eq!(stats.totals.shed, 0);
+        }
+    }
+
+    #[test]
+    fn draining_server_answers_503_even_for_a_hit() {
+        let engine = Arc::new(Engine::new(EngineConfig { jobs: 1, cache_bytes: 1 << 22 }));
+        let server = Server::bind(
+            ServeConfig { addr: "127.0.0.1:0".into(), ..ServeConfig::default() },
+            engine,
+        )
+        .unwrap();
+        let shared = &server.shared;
+        let body = embed_body(80);
+        let raw = format!(
+            "POST /v1/embed HTTP/1.1\r\nhost: t\r\ncontent-length: {}\r\n\r\n{body}",
+            body.len()
+        );
+        let req = read_request(&mut BufReader::new(raw.as_bytes())).unwrap();
+        // Warm the LRU directly; no batcher runs in this test.
+        let table = api::parse_embed(&body).unwrap().table;
+        let model = observatory_models::registry::model_by_name("bert").unwrap();
+        shared.engine.encode_table(model.as_ref(), &table);
+        let mut span = obs::span(obs::Level::Debug, "serve", "test");
+        let rid: Arc<str> = "hit".into();
+        let out = route(&req, 1, &rid, &mut span, shared);
+        assert_eq!(out.status, 200, "a hit is answered without the batcher");
+        assert_eq!(
+            out.stages.map(|s| s.header_value()).as_deref(),
+            Some("queue=0;batch_wait=0;encode=0;store=0;write=0")
+        );
+        shared.queue.close();
+        let out = route(&req, 2, &rid, &mut span, shared);
+        assert_eq!(out.status, 503, "draining refuses hits too");
+    }
+
+    #[test]
+    fn hit_bodies_and_stage_shape_match_across_net_modes() {
+        let mut seen: Vec<(String, String)> = Vec::new();
+        for net in [NetMode::Thread, NetMode::Epoll] {
+            let (addr, handle, join) = spawn_server(ServeConfig { net, ..ephemeral() });
+            for _ in 0..2 {
+                let (status, head, body) = post(addr, "/v1/embed", &embed_body(90));
+                assert_eq!(status, 200, "{body}");
+                seen.push((body, header_value(&head, "x-stage-us").unwrap()));
+            }
+            shutdown_and_join(&handle, join);
+        }
+        fn shape(v: &str) -> Vec<&str> {
+            v.split(';').map(|kv| kv.split('=').next().unwrap()).collect()
+        }
+        for (body, stages) in &seen {
+            assert_eq!(body, &seen[0].0, "byte-identical bodies in both modes");
+            assert_eq!(shape(stages), ["queue", "batch_wait", "encode", "store", "write"]);
+        }
+        // The repeat in each mode is the hit.
+        assert_eq!(seen[1].1, "queue=0;batch_wait=0;encode=0;store=0;write=0");
+        assert_eq!(seen[3].1, seen[1].1);
     }
 
     #[test]

@@ -19,6 +19,7 @@
 
 use crate::JobError;
 use observatory_models::ModelEncoding;
+use observatory_runtime::Fingerprint;
 use observatory_table::Table;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -36,13 +37,15 @@ pub type Reply = (Result<Arc<ModelEncoding>, JobError>, Stages);
 /// produces the flight-recorder layout.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Stages {
-    /// Admission (`Queue::push`) to batch pop.
+    /// Admission (`Queue::push`) to batch pop (0 for a cache hit, which
+    /// is answered at admission and never queued).
     pub queue_us: u64,
     /// Batch pop to the group's encode call (expiry sweep + grouping).
     pub batch_wait_us: u64,
     /// Model forward pass (0 on any cache hit).
     pub encode_us: u64,
-    /// Tier-2 store read attempt (0 when the LRU hit or no store).
+    /// Tier-2 store read attempt at admission (0 when the LRU hit or no
+    /// store).
     pub store_us: u64,
     /// Tier-2 write-through (0 on hits or no store).
     pub write_us: u64,
@@ -142,6 +145,13 @@ pub struct Job {
     pub model: String,
     /// The table to encode.
     pub table: Table,
+    /// Its content fingerprint, whose cache tiers admission already
+    /// probed (and missed) — the batcher neither recomputes it nor
+    /// counts a second lookup.
+    pub fp: Fingerprint,
+    /// Time the admission-side tier-2 probe took (the reply's
+    /// `store_us`).
+    pub store_us: u64,
     /// Admission time.
     pub enqueued: Instant,
     /// Absolute deadline; jobs still queued past it are expired (408)
@@ -309,6 +319,8 @@ mod tests {
             rid: format!("r{id}").into(),
             model: "bert".into(),
             table,
+            fp: Fingerprint(u128::from(id)),
+            store_us: 0,
             enqueued: now,
             deadline: now + Duration::from_secs(60),
             reply: tx.into(),

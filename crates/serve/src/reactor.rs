@@ -12,11 +12,11 @@
 //!
 //! ```text
 //! readable ─▶ RequestParser::feed ─▶ next_request loop (pipelining)
-//!    ├─ non-embed route  → response rendered immediately (or queued in
-//!    │                     order behind still-pending embeds)
-//!    └─ embed admitted   → park a Waiting reply slot; parsing continues
-//!                          (up to PIPELINE_MAX embeds ride the batcher
-//!                          concurrently per connection)
+//!    ├─ non-embed route ┐→ response rendered immediately (or queued in
+//!    ├─ embed cache hit ┘  order behind still-pending embeds)
+//!    └─ embed miss       → admitted: park a Waiting reply slot; parsing
+//!                          continues (up to PIPELINE_MAX embeds ride the
+//!                          batcher concurrently per connection)
 //! mailbox wake ─▶ render the matching slot ─▶ pump in-order slots into
 //!                 the out buffer ─▶ resume pipelined parsing
 //! writable ─▶ flush out buffer (writable interest only while nonempty)
@@ -29,7 +29,9 @@
 //! [`PIPELINE_MAX`] requests are in flight per connection, and
 //! pipelined parsing pauses while more than [`OUT_BACKPRESSURE_BYTES`]
 //! of responses await the socket, with the read interest dropped so a
-//! slow reader cannot balloon memory.
+//! slow reader cannot balloon memory. Parsing resumes from the parser's
+//! buffer as soon as a flush brings the backlog back under the bound —
+//! the requests it holds were read already, so no socket event would.
 //!
 //! The timeout ladder (checked by a sweep each loop tick):
 //! 1. slow header/body: a partial request older than
@@ -241,13 +243,18 @@ impl Conn {
         }
     }
 
-    fn wants_read(&self) -> bool {
+    /// Whether another buffered request may be parsed and dispatched
+    /// now: pipeline room, no pending close, backlog under the bound.
+    fn can_dispatch(&self) -> bool {
         self.replies.len() < PIPELINE_MAX
-            && !self.peer_eof
             && !self.close_after_flush
             && !self.tail_closed()
             && !self.broken
             && self.backlog() < OUT_BACKPRESSURE_BYTES
+    }
+
+    fn wants_read(&self) -> bool {
+        self.can_dispatch() && !self.peer_eof
     }
 
     fn busy(&self) -> bool {
@@ -448,8 +455,22 @@ impl Shard {
     fn settle(&mut self, slot: usize, token: u64) {
         let finished = {
             let conn = self.slots[slot].conn.as_mut().expect("live slot");
-            pump_replies(conn);
-            try_flush(conn);
+            loop {
+                pump_replies(conn);
+                try_flush(conn);
+                // Complete requests may sit in the parser behind lifted
+                // backpressure or freed pipeline room. Their bytes were
+                // read long ago, so no EPOLLIN will ever resume them:
+                // parse on here for as long as each pass consumes some.
+                let buffered = conn.parser.buffered();
+                if buffered == 0 || !conn.can_dispatch() {
+                    break;
+                }
+                process_requests(conn, &self.shared, &self.mailbox, token);
+                if conn.parser.buffered() >= buffered {
+                    break;
+                }
+            }
             let busy = conn.busy();
             if busy != conn.active {
                 conn.active = busy;
@@ -633,19 +654,20 @@ fn read_into(conn: &mut Conn) {
 }
 
 /// Parse and dispatch as many pipelined requests as current state
-/// allows (stops on a parked embed, backpressure, or a parse error).
+/// allows (stops at the pipeline cap, backpressure, a pending close, or
+/// a parse error; [`Shard::settle`] resumes it once that lifts).
 fn process_requests(conn: &mut Conn, shared: &Shared, mailbox: &Arc<Mailbox>, token: u64) {
-    loop {
-        if conn.replies.len() >= PIPELINE_MAX
-            || conn.close_after_flush
-            || conn.tail_closed()
-            || conn.broken
-            || conn.backlog() >= OUT_BACKPRESSURE_BYTES
-        {
-            break;
-        }
+    while conn.can_dispatch() {
         match conn.parser.next_request() {
-            Ok(Some(req)) => handle_request(conn, req, shared, mailbox, token),
+            Ok(Some(req)) => {
+                handle_request(conn, req, shared, mailbox, token);
+                // Stream each synchronous response (a cache hit, say) out
+                // as it is rendered, not after the whole pipelined burst:
+                // the client reads it and sends more meanwhile.
+                if conn.backlog() > 0 {
+                    try_flush(conn);
+                }
+            }
             Ok(None) => break,
             Err(e) => {
                 let (status, msg) = match e {

@@ -6,11 +6,14 @@
 //! `save` appends the encoded record to the WAL (one `write(2)` — the
 //! ack point) and inserts the payload into the in-memory memtable. When
 //! the WAL crosses the rotation threshold, the memtable is *frozen*: the
-//! WAL is fsynced and renamed to `wal-frozen.log`, a fresh `wal.log`
-//! opens, and the frozen records are handed to the compactor thread,
-//! which writes them as an immutable segment (tmp → fsync → rename →
-//! dir fsync) and only then deletes `wal-frozen.log`. At no point is a
-//! record's only copy in volatile memory.
+//! WAL is renamed to `wal-frozen.log` and a fresh `wal.log` opens — the
+//! only file work done under the store lock — and the frozen records are
+//! handed to the compactor thread, which fsyncs the frozen WAL, writes
+//! the records as an immutable segment (tmp → fsync → rename → dir
+//! fsync) and only then deletes `wal-frozen.log`. At no point is a
+//! record's only copy in volatile memory, and no reader waits on a disk
+//! sync: `flush` also syncs outside the lock, on file handles taken
+//! under it.
 //!
 //! ## Read path
 //!
@@ -104,11 +107,19 @@ struct Counters {
 /// keeps log order identical to memtable order).
 struct Inner {
     memtable: HashMap<u128, Arc<Vec<u8>>>,
-    frozen: Option<HashMap<u128, Arc<Vec<u8>>>>,
+    /// The rotation in flight, if any.
+    frozen: Option<Frozen>,
     wal: Wal,
     /// Oldest → newest. Lookups scan in reverse.
     segments: Vec<Arc<Segment>>,
     next_seg_id: u64,
+}
+
+/// A rotation in flight: the frozen memtable, readable until its segment
+/// is installed, and the frozen WAL's file, which `flush` syncs until then.
+struct Frozen {
+    memtable: HashMap<u128, Arc<Vec<u8>>>,
+    wal: Arc<fs::File>,
 }
 
 struct Shared {
@@ -117,12 +128,14 @@ struct Shared {
     stats: Counters,
 }
 
-/// Background work item: write frozen-memtable `records` as segment
-/// `seg_id`, install it, delete the frozen WAL. Compaction runs inline
-/// on the same worker afterwards, so jobs stay strictly ordered.
+/// Background work item: fsync the frozen WAL, write frozen-memtable
+/// `records` as segment `seg_id`, install it, delete the frozen WAL.
+/// Compaction runs inline on the same worker afterwards, so jobs stay
+/// strictly ordered.
 struct Job {
     records: Vec<(u128, Arc<Vec<u8>>)>,
     seg_id: u64,
+    wal: Arc<fs::File>,
 }
 
 /// The memory-mapped tier-2 store. See the module docs for the design.
@@ -241,7 +254,7 @@ impl MmapStore {
             .name("store-compactor".into())
             .spawn(move || {
                 while let Ok(job) = rx.recv() {
-                    worker_shared.finish_rotation(job.records, job.seg_id);
+                    worker_shared.finish_rotation(job);
                 }
             })
             .map_err(io::Error::other)?;
@@ -324,8 +337,7 @@ impl Drop for MmapStore {
     fn drop(&mut self) {
         self.shutdown();
         // Best-effort final fsync so a clean exit is machine-durable.
-        let inner = self.shared.lock_inner();
-        let _ = inner.wal.sync();
+        let _ = self.flush();
     }
 }
 
@@ -337,23 +349,23 @@ impl Shared {
     }
 
     /// Freeze the memtable (caller holds the lock and has checked
-    /// `frozen.is_none()`): fsync + rename the WAL, open a fresh one,
-    /// and produce the rotation job for the compactor.
+    /// `frozen.is_none()`): rename the WAL, open a fresh one, and produce
+    /// the rotation job for the compactor. The frozen WAL's fsync is the
+    /// compactor's: a 64 MiB sync under the lock would stall every
+    /// reader and writer of the store for seconds.
     fn freeze(&self, inner: &mut Inner) -> Option<Job> {
-        let rotated = inner.wal.sync().and_then(|()| {
-            fs::rename(inner.wal.path(), self.config.dir.join(WAL_FROZEN))?;
-            Wal::open(&self.config.dir.join(WAL))
-        });
+        let rotated = fs::rename(inner.wal.path(), self.config.dir.join(WAL_FROZEN))
+            .and_then(|()| Wal::open(&self.config.dir.join(WAL)));
         match rotated {
             Ok(fresh) => {
-                inner.wal = fresh;
-                let frozen = std::mem::take(&mut inner.memtable);
+                let wal = std::mem::replace(&mut inner.wal, fresh).handle();
+                let memtable = std::mem::take(&mut inner.memtable);
                 let records: Vec<(u128, Arc<Vec<u8>>)> =
-                    frozen.iter().map(|(fp, p)| (*fp, Arc::clone(p))).collect();
-                inner.frozen = Some(frozen);
+                    memtable.iter().map(|(fp, p)| (*fp, Arc::clone(p))).collect();
+                inner.frozen = Some(Frozen { memtable, wal: Arc::clone(&wal) });
                 let seg_id = inner.next_seg_id;
                 inner.next_seg_id += 1;
-                Some(Job { records, seg_id })
+                Some(Job { records, seg_id, wal })
             }
             Err(_) => {
                 obs::event(obs::Level::Error, "store", "wal_rotate_failed");
@@ -362,11 +374,15 @@ impl Shared {
         }
     }
 
-    /// Compactor half of a rotation: make the frozen memtable durable as
-    /// a segment, then retire the frozen WAL.
-    fn finish_rotation(&self, mut records: Vec<(u128, Arc<Vec<u8>>)>, seg_id: u64) {
+    /// Compactor half of a rotation: sync the frozen WAL, make the
+    /// frozen memtable durable as a segment, then retire the frozen WAL.
+    fn finish_rotation(&self, job: Job) {
+        let Job { mut records, seg_id, wal } = job;
         let mut span =
             obs::span(obs::Level::Debug, "store", "rotate").with("records", records.len());
+        if wal.sync_all().is_err() {
+            obs::event(obs::Level::Error, "store", "wal_sync_failed");
+        }
         records.sort_by_key(|(fp, _)| *fp);
         let refs: Vec<(u128, &[u8])> = records.iter().map(|(fp, p)| (*fp, p.as_slice())).collect();
         match Segment::create(&self.config.dir, seg_id, &refs) {
@@ -468,7 +484,7 @@ impl EmbeddingStore for MmapStore {
             let inner = self.shared.lock_inner();
             if let Some(p) = inner.memtable.get(&fp.0) {
                 Some(Found::Bytes(Arc::clone(p)))
-            } else if let Some(p) = inner.frozen.as_ref().and_then(|f| f.get(&fp.0)) {
+            } else if let Some(p) = inner.frozen.as_ref().and_then(|f| f.memtable.get(&fp.0)) {
                 Some(Found::Bytes(Arc::clone(p)))
             } else {
                 inner
@@ -522,15 +538,24 @@ impl EmbeddingStore for MmapStore {
     }
 
     fn flush(&self) -> io::Result<()> {
-        let inner = self.shared.lock_inner();
-        inner.wal.sync()
+        // Take the handles under the lock, sync outside it: a save or a
+        // load never waits on the disk. A rotation still pending keeps
+        // its frozen WAL the only durable copy, so it is synced too.
+        let (active, frozen) = {
+            let inner = self.shared.lock_inner();
+            (inner.wal.handle(), inner.frozen.as_ref().map(|f| Arc::clone(&f.wal)))
+        };
+        if let Some(frozen) = frozen {
+            frozen.sync_all()?;
+        }
+        active.sync_all()
     }
 
     fn tier_stats(&self) -> StoreTierStats {
         let inner = self.shared.lock_inner();
         let mut live: std::collections::HashSet<u128> = inner.memtable.keys().copied().collect();
         if let Some(frozen) = &inner.frozen {
-            live.extend(frozen.keys());
+            live.extend(frozen.memtable.keys());
         }
         for seg in &inner.segments {
             live.extend(seg.fingerprints());
@@ -543,7 +568,8 @@ impl EmbeddingStore for MmapStore {
             segments: inner.segments.len() as u64,
             segment_bytes: inner.segments.iter().map(|s| s.file_bytes()).sum(),
             wal_bytes: inner.wal.bytes() + frozen_wal_bytes,
-            memtable_records: (inner.memtable.len() + inner.frozen.as_ref().map_or(0, HashMap::len))
+            memtable_records: (inner.memtable.len()
+                + inner.frozen.as_ref().map_or(0, |f| f.memtable.len()))
                 as u64,
             generation: s.generation.load(Ordering::Relaxed),
             reads: s.reads.load(Ordering::Relaxed),
@@ -564,7 +590,7 @@ impl EmbeddingStore for MmapStore {
         let inner = self.shared.lock_inner();
         let mut live: std::collections::HashSet<u128> = inner.memtable.keys().copied().collect();
         if let Some(frozen) = &inner.frozen {
-            live.extend(frozen.keys());
+            live.extend(frozen.memtable.keys());
         }
         for seg in &inner.segments {
             live.extend(seg.fingerprints());

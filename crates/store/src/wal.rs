@@ -17,10 +17,13 @@ use crate::format::{frame_record, parse_record};
 use std::fs::{File, OpenOptions};
 use std::io::{self, Read, Write};
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 /// Append-only WAL writer.
 pub struct Wal {
-    file: File,
+    /// Shared so a sync can run on a handle taken under the store lock
+    /// after the lock is released ([`Wal::handle`]).
+    file: Arc<File>,
     path: PathBuf,
     bytes: u64,
 }
@@ -30,7 +33,7 @@ impl Wal {
     pub fn open(path: &Path) -> io::Result<Wal> {
         let file = OpenOptions::new().create(true).append(true).open(path)?;
         let bytes = file.metadata()?.len();
-        Ok(Wal { file, path: path.to_path_buf(), bytes })
+        Ok(Wal { file: Arc::new(file), path: path.to_path_buf(), bytes })
     }
 
     /// Append one record. The frame is assembled in memory and handed to
@@ -39,7 +42,7 @@ impl Wal {
     pub fn append(&mut self, fp: u128, payload: &[u8]) -> io::Result<()> {
         let mut frame = Vec::with_capacity(crate::format::FRAME_HEADER + payload.len());
         frame_record(&mut frame, fp, payload);
-        self.file.write_all(&frame)?;
+        (&*self.file).write_all(&frame)?;
         self.bytes += frame.len() as u64;
         Ok(())
     }
@@ -47,6 +50,12 @@ impl Wal {
     /// fsync: make everything appended so far machine-crash durable.
     pub fn sync(&self) -> io::Result<()> {
         self.file.sync_all()
+    }
+
+    /// The open log file, for an fsync that must not hold whatever lock
+    /// guards appends (a sync covers every append before it started).
+    pub fn handle(&self) -> Arc<File> {
+        Arc::clone(&self.file)
     }
 
     /// Bytes appended (including any pre-existing content).

@@ -209,3 +209,39 @@ fn generation_is_monotone_across_restarts() {
     );
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+#[test]
+fn flush_during_pending_rotation_then_reopen_keeps_every_record() {
+    let dir = tmp_dir("flush-pending");
+    std::fs::create_dir_all(&dir).unwrap();
+    // Park the first rotation: its segment's scratch path is a directory,
+    // so the compactor cannot write the segment and the frozen WAL stays.
+    let blocker = dir.join("seg-000000.seg.tmp");
+    std::fs::create_dir_all(&blocker).unwrap();
+    let mut cfg = config(&dir);
+    cfg.rotate_bytes = 4096;
+    let mut saved = 0u64;
+    {
+        let store = MmapStore::open(cfg).unwrap();
+        while !dir.join("wal-frozen.log").exists() {
+            store.save(Fingerprint(saved as u128 + 1), &encoding(saved));
+            saved += 1;
+            assert!(saved < 1000, "a 4 KiB threshold must rotate");
+        }
+        // Further saves land in the fresh WAL behind the pending rotation.
+        for _ in 0..8 {
+            store.save(Fingerprint(saved as u128 + 1), &encoding(saved));
+            saved += 1;
+        }
+        store.flush().expect("flush syncs the active and the frozen WAL");
+        assert!(dir.join("wal-frozen.log").exists(), "the rotation is still pending");
+        assert_eq!(store.tier_stats().rotations, 0);
+    }
+    std::fs::remove_dir(&blocker).unwrap();
+    let store = MmapStore::open(config(&dir)).unwrap();
+    assert_eq!(store.tier_stats().records, saved);
+    for tag in 0..saved {
+        assert_bits_equal(&store.load(Fingerprint(tag as u128 + 1)).unwrap(), &encoding(tag));
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -92,7 +92,7 @@ fn soak_32_clients_no_losses_no_crosswiring_bit_identical() {
         ..ServeConfig::default()
     };
     let engine = Arc::new(Engine::new(EngineConfig { jobs: 4, cache_bytes: 1 << 24 }));
-    let server = Server::bind(config, engine).expect("bind ephemeral");
+    let server = Server::bind(config, Arc::clone(&engine)).expect("bind ephemeral");
     let addr = server.local_addr().unwrap();
     let handle = server.handle();
     let server_thread = std::thread::spawn(move || server.run());
@@ -145,7 +145,11 @@ fn soak_32_clients_no_losses_no_crosswiring_bit_identical() {
     assert_eq!(stats.totals.shed, 0, "deep queue must not shed");
     assert_eq!(stats.totals.expired, 0);
     assert_eq!(stats.totals.panics, 0);
-    assert_eq!(stats.totals.batched_jobs, total, "every job carried by some batch");
+    // Cache hits are answered at admission and never reach the batcher;
+    // every miss rides exactly one batch.
+    let m = engine.metrics_snapshot();
+    assert_eq!(m.cache_hits + m.cache_misses, total, "one cache lookup per request");
+    assert_eq!(stats.totals.batched_jobs, m.cache_misses, "every miss carried by some batch");
     assert!(
         stats.totals.max_batch >= 2,
         "32 concurrent clients must produce at least one multi-request batch \
