@@ -1,17 +1,16 @@
-//! `encoder_kernels`: the fused/tiled/row-parallel encoder kernels
-//! against the pre-PR scalar reference, over a seq-len × dim grid.
+//! `encoder_kernels`: the fused, tiled encoder kernels against the
+//! naive scalar reference, over a seq-len × dim grid.
 //!
-//! Three configurations per point:
+//! Two configurations per point:
 //! - `reference` — the naive scalar path (strided slices, no repacking,
 //!   no fusion): the shape of the implementation before the kernel layer.
-//! - `serial`    — the fused kernels at `jobs = 1`.
-//! - `parallel4` — the fused kernels at `jobs = 4`.
+//! - `serial`    — the fused kernels (always serial; parallelism is
+//!   table-level, in the runtime engine).
 //!
 //! Recorded numbers live in DESIGN.md §9: ~2× where libm transcendentals
 //! dominated (dim-64 FFN), ~1.4–1.7× on GEMM-bound dim-128 shapes, where
 //! the naive i-k-j loop already sits near the no-FMA f64 roofline.
-//! A whole-encoder forward pass is benched last, toggling the
-//! process-default job count the CLI's `--jobs` flag controls.
+//! A whole-encoder forward pass is benched last.
 //!
 //! Since the SIMD backend (DESIGN.md §11) the serial rows are additionally
 //! swept across dispatch tiers via `simd::force_tier` — `scalar` vs
@@ -22,7 +21,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use observatory_linalg::kernels::{self, reference, AttentionSpec};
 use observatory_linalg::simd;
-use observatory_linalg::{parallel, Matrix, SplitMix64};
+use observatory_linalg::{Matrix, SplitMix64};
 use observatory_transformer::config::TransformerConfig;
 use observatory_transformer::encoder::{Encoder, TokenInput};
 use std::hint::black_box;
@@ -44,21 +43,22 @@ fn tier_label(tier: simd::Tier) -> String {
     format!("{tier:?}").to_lowercase()
 }
 
-/// GEMM microkernel across SIMD tiers: `matmul` (seq×dim · dim×dim) with
-/// each available tier forced, serial, same buffers — the per-tier rows
+/// GEMM microkernel across SIMD tiers: `linear_bias` (seq×dim · dim×dim)
+/// with each available tier forced, same buffers — the per-tier rows
 /// DESIGN.md §11's speedup table quotes.
-fn bench_matmul_tiers(c: &mut Criterion) {
-    let mut group = c.benchmark_group("encoder_kernels/matmul");
+fn bench_gemm_tiers(c: &mut Criterion) {
+    let mut group = c.benchmark_group("encoder_kernels/gemm");
     group.sample_size(10);
     for (seq, dim) in GRID {
         let mut rng = SplitMix64::new(16);
         let a = random_matrix(&mut rng, seq, dim);
         let b = random_matrix(&mut rng, dim, dim);
+        let bias = vec![0.0; dim];
         let param = format!("seq{seq}_dim{dim}");
         for tier in simd::available_tiers() {
             group.bench_function(BenchmarkId::new(tier_label(tier), &param), |bch| {
                 simd::force_tier(Some(tier));
-                bch.iter(|| black_box(kernels::matmul(&a, &b, 1)));
+                bch.iter(|| black_box(kernels::linear_bias(&a, &b, &bias)));
                 simd::force_tier(None);
             });
         }
@@ -86,15 +86,12 @@ fn bench_attention(c: &mut Criterion) {
             b.iter(|| black_box(reference::attention(&q, &k, &v, &spec)))
         });
         group.bench_function(BenchmarkId::new("serial", &param), |b| {
-            b.iter(|| black_box(kernels::attention(&q, &k, &v, &spec, 1)))
+            b.iter(|| black_box(kernels::attention(&q, &k, &v, &spec)))
         });
         group.bench_function(BenchmarkId::new("serial_scalar", &param), |b| {
             simd::force_tier(Some(simd::Tier::Scalar));
-            b.iter(|| black_box(kernels::attention(&q, &k, &v, &spec, 1)));
+            b.iter(|| black_box(kernels::attention(&q, &k, &v, &spec)));
             simd::force_tier(None);
-        });
-        group.bench_function(BenchmarkId::new("parallel4", &param), |b| {
-            b.iter(|| black_box(kernels::attention(&q, &k, &v, &spec, 4)))
         });
     }
     group.finish();
@@ -118,19 +115,17 @@ fn bench_ffn(c: &mut Criterion) {
                 black_box(reference::linear_bias(&h, &w2, &b2))
             })
         });
-        for (name, jobs) in [("serial", 1), ("parallel4", 4)] {
-            group.bench_function(BenchmarkId::new(name, &param), |b| {
-                b.iter(|| {
-                    let h = kernels::linear_bias_gelu(&x, &w1, &b1, jobs);
-                    black_box(kernels::linear_bias(&h, &w2, &b2, jobs))
-                })
-            });
-        }
+        group.bench_function(BenchmarkId::new("serial", &param), |b| {
+            b.iter(|| {
+                let h = kernels::linear_bias_gelu(&x, &w1, &b1);
+                black_box(kernels::linear_bias(&h, &w2, &b2))
+            })
+        });
         group.bench_function(BenchmarkId::new("serial_scalar", &param), |b| {
             simd::force_tier(Some(simd::Tier::Scalar));
             b.iter(|| {
-                let h = kernels::linear_bias_gelu(&x, &w1, &b1, 1);
-                black_box(kernels::linear_bias(&h, &w2, &b2, 1))
+                let h = kernels::linear_bias_gelu(&x, &w1, &b1);
+                black_box(kernels::linear_bias(&h, &w2, &b2))
             });
             simd::force_tier(None);
         });
@@ -155,24 +150,19 @@ fn bench_full_encoder(c: &mut Criterion) {
         let tokens: Vec<TokenInput> =
             (0..seq).map(|i| TokenInput::plain((i % 512) as u32)).collect();
         let param = format!("seq{seq}_dim{dim}");
-        for (name, jobs) in [("jobs1", 1usize), ("jobs4", 4)] {
-            group.bench_function(BenchmarkId::new(name, &param), |b| {
-                parallel::set_default_jobs(jobs);
-                b.iter(|| black_box(encoder.encode(black_box(&tokens))));
-            });
-        }
-        // Whole-encoder tier delta: serial, scalar tier forced vs the
-        // auto-detected tier above ("jobs1").
-        group.bench_function(BenchmarkId::new("jobs1_scalar", &param), |b| {
-            parallel::set_default_jobs(1);
+        group.bench_function(BenchmarkId::new("serial", &param), |b| {
+            b.iter(|| black_box(encoder.encode(black_box(&tokens))));
+        });
+        // Whole-encoder tier delta: scalar tier forced vs the
+        // auto-detected tier above.
+        group.bench_function(BenchmarkId::new("serial_scalar", &param), |b| {
             simd::force_tier(Some(simd::Tier::Scalar));
             b.iter(|| black_box(encoder.encode(black_box(&tokens))));
             simd::force_tier(None);
         });
-        parallel::set_default_jobs(0);
     }
     group.finish();
 }
 
-criterion_group!(benches, bench_matmul_tiers, bench_attention, bench_ffn, bench_full_encoder);
+criterion_group!(benches, bench_gemm_tiers, bench_attention, bench_ffn, bench_full_encoder);
 criterion_main!(benches);

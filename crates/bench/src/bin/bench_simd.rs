@@ -1,8 +1,8 @@
 //! Machine-readable SIMD-tier microbenchmark: emits `BENCH_simd.json`.
 //!
 //! Measures ns/op for the tier-dispatched kernels — `dot`, `softmax`
-//! (the fastmath exp pass), `gemm` (`matmul`, serial) and a whole
-//! 2-layer encoder forward — at the same seq×dim grid as the
+//! (the fastmath exp pass), `gemm` (`linear_bias` with a zero bias) and
+//! a whole 2-layer encoder forward — at the same seq×dim grid as the
 //! `encoder_kernels` criterion bench, with every available tier forced
 //! in turn (`scalar`, `sse2`, `avx2` where the CPU supports them).
 //!
@@ -21,7 +21,7 @@
 use observatory_bench::harness::banner;
 use observatory_linalg::kernels;
 use observatory_linalg::simd::{self, Tier};
-use observatory_linalg::{parallel, reduce, Matrix, SplitMix64};
+use observatory_linalg::{reduce, Matrix, SplitMix64};
 use observatory_transformer::config::TransformerConfig;
 use observatory_transformer::encoder::{Encoder, TokenInput};
 use std::hint::black_box;
@@ -82,7 +82,6 @@ struct Row {
 fn main() {
     let out_path = std::env::args().nth(1).unwrap_or_else(|| "BENCH_simd.json".into());
     banner("bench_simd: SIMD tier microbenchmarks", "DESIGN.md §11");
-    parallel::set_default_jobs(1);
     let tiers = simd::available_tiers();
     let mut rows: Vec<Row> = Vec::new();
 
@@ -127,13 +126,14 @@ fn main() {
             });
         }
 
-        // gemm: seq×dim · dim×dim serial matmul (the encoder's QKV shape).
+        // gemm: seq×dim · dim×dim fused linear map (the encoder's QKV shape).
         let x = random_matrix(&mut rng, seq, dim);
         let w = random_matrix(&mut rng, dim, dim);
+        let bias = vec![0.0; dim];
         for &tier in &tiers {
             simd::force_tier(Some(tier));
             let ns = time_ns(|| {
-                black_box(kernels::matmul(black_box(&x), black_box(&w), 1));
+                black_box(kernels::linear_bias(black_box(&x), black_box(&w), black_box(&bias)));
             });
             simd::force_tier(None);
             rows.push(Row {
@@ -174,7 +174,6 @@ fn main() {
             });
         }
     }
-    parallel::set_default_jobs(0);
 
     // Per-kernel speedup of the widest tier over scalar (min/max across shapes).
     let widest = tier_label(*tiers.last().expect("at least the scalar tier"));

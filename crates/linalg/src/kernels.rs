@@ -1,25 +1,20 @@
-//! Fused, tiled, row-parallel encoder kernels.
+//! Fused, tiled encoder kernels.
 //!
 //! This module is the hot path of the whole system: every Observatory
 //! property (P1–P8) and downstream task re-encodes thousands of table
-//! variants, and each encode is a stack of the four operations here —
-//! dense matmul, bias-fused linear maps, the GELU feed-forward, and
-//! multi-head attention. The kernels are written for speed *without*
-//! giving up the workspace's determinism guarantee:
+//! variants, and each encode is a stack of the three operations here —
+//! bias-fused linear maps, the GELU feed-forward, and multi-head
+//! attention. The kernels are written for speed *without* giving up the
+//! workspace's determinism guarantee:
 //!
-//! - **Register-tiled matmul** ([`matmul`], [`linear_bias`],
-//!   [`linear_bias_gelu`]): a 4×4 output tile accumulates in registers
-//!   across the whole `k` loop (`gemm`), so the inner loop does no
-//!   stores at all — the naive AXPY formulation streams the output row
-//!   through memory once *per `k`*. The per-element accumulation order
-//!   (ascending `k`) is **identical** to the naive `i,k,j` loop, so
-//!   matmul and `linear_bias` match the reference path bit-for-bit (up
-//!   to the sign of zero — the naive path's `a == 0.0` skip adds nothing
-//!   where the kernel adds `±0.0`).
-//! - **Transposed-B fast path** ([`matmul_transb`], and the Q·Kᵀ step
-//!   inside [`attention`]): when the right operand is already stored
-//!   row-major in its transposed form, logits accumulate over contiguous
-//!   rows instead of strided column walks.
+//! - **Register-tiled GEMM** ([`linear_bias`], [`linear_bias_gelu`]): a
+//!   4×4 output tile accumulates in registers across the whole `k` loop
+//!   (`gemm`), so the inner loop does no stores at all — the naive AXPY
+//!   formulation streams the output row through memory once *per `k`*.
+//!   The per-element accumulation order (ascending `k`) is **identical**
+//!   to the naive `i,k,j` loop, so `linear_bias` matches the reference
+//!   path bit-for-bit (up to the sign of zero — the naive path's
+//!   `a == 0.0` skip adds nothing where the kernel adds `±0.0`).
 //! - **Fused epilogues**: bias addition and GELU run on the output block
 //!   while it is still cache-hot, in the same order as the unfused
 //!   reference (`Σ`, then `+bias`, then `gelu`).
@@ -31,24 +26,23 @@
 //!   reference path and it is ULP-bounded and regression-tested
 //!   (≤ 1e-14 relative on `exp`, ≤ 1e-13 on GELU; see `fastmath`).
 //! - **Head-batched attention** ([`attention`]): per-head K/V panels are
-//!   repacked contiguously once per call, per-head bias/mask matrices
-//!   arrive **materialized** (no closure calls in the inner loop), and
-//!   query-row blocks are computed independently so the work
-//!   parallelizes over [`crate::parallel`] with bit-identical results at
-//!   any job count (the parallel unit is the row block; tiling inside a
-//!   block does not depend on the job count).
-//!
+//!   repacked contiguously once per call (`Kᵀ` per head, so the Q·Kᵀ
+//!   logits accumulate over contiguous rows), and per-head bias/mask
+//!   matrices arrive **materialized** (no closure calls in the inner
+//!   loop).
 //! - **Runtime SIMD dispatch** ([`crate::simd`]): on an AVX2 CPU the
 //!   GEMM inner loop runs 8-column `__m256d` strips and the softmax
 //!   exponentiation runs the vectorized `exp`; both are **byte-identical**
 //!   to the scalar tier (column-wise vectorization keeps per-element
 //!   ascending-`k` order; reductions share a fixed 8-lane structure; FMA
 //!   is excluded). `OBSERVATORY_SIMD=off|sse2|avx2` overrides detection.
-//! - **Workspace-pooled serial path** ([`crate::workspace`]): at
-//!   `jobs == 1` every kernel writes into per-thread pooled scratch
-//!   instead of fresh `Vec`s, so a steady-state encode performs zero
-//!   heap allocations after warmup. Parallel blocks keep per-block
-//!   buffers (scoped worker threads are ephemeral by design).
+//! - **Workspace-pooled, serial** ([`crate::workspace`]): every kernel
+//!   runs on the calling thread and writes into per-thread pooled
+//!   scratch instead of fresh `Vec`s, so a steady-state encode performs
+//!   zero heap allocations after warmup. Parallelism lives one level up,
+//!   across tables (`Engine::encode_batch`, property runners): every
+//!   supported sequence is at most 192 tokens, too small for splitting
+//!   rows across threads to pay for the spawns.
 //!
 //! Every public kernel records its wall time in [`stats`], which the
 //! bench harness and CLI surface in their runtime reports.
@@ -64,29 +58,8 @@
 
 use crate::fastmath;
 use crate::matrix::Matrix;
-use crate::parallel;
-use crate::reduce;
 use crate::simd;
 use crate::workspace;
-
-/// Output-row block size: how many rows of A/out one task owns.
-const TILE_I: usize = 32;
-/// Minimum flop count before a kernel spawns worker threads; below this
-/// the `std::thread::scope` spawn cost dominates any speedup.
-const MIN_PAR_FLOPS: usize = 1 << 18;
-/// Row-block granularity for the attention kernel's query-parallel loop.
-const ATTN_ROW_BLOCK: usize = 8;
-
-/// Clamp a requested job count to 1 when the kernel is too small to
-/// amortize thread spawns. Gating affects only *where* work runs.
-#[inline]
-fn gate_jobs(jobs: usize, flops: usize) -> usize {
-    if flops < MIN_PAR_FLOPS {
-        1
-    } else {
-        jobs
-    }
-}
 
 /// GELU activation (tanh approximation), applied elementwise.
 ///
@@ -218,17 +191,15 @@ fn axpy(out: &mut [f64], a: f64, b: &[f64]) {
 ///
 /// **Loop order:** column tiles outermost, row quads inside. One B
 /// column strip (`kd` rows × 4 values ≈ `kd` cache lines) stays hot in
-/// L1 across every row quad of the block, and the A block (≤
-/// `TILE_I × kd`, the smaller operand) is what gets re-streamed per
-/// tile. The reverse order re-reads *all of B* — the large operand —
-/// once per row quad, which is an order of magnitude more memory
-/// traffic at FFN shapes.
+/// L1 across every row quad, and A (`rows × kd`, the smaller operand)
+/// is what gets re-streamed per tile. The reverse order re-reads *all of
+/// B* — the large operand — once per row quad, which is an order of
+/// magnitude more memory traffic at FFN shapes.
 ///
 /// **Determinism:** every output element accumulates in ascending-`k`
 /// order exactly like the scalar triple loop, so results are
 /// bit-identical to the naive path (up to the sign of zero) and
-/// independent of tile traversal order and of how callers block rows
-/// across threads.
+/// independent of tile traversal order.
 #[allow(clippy::too_many_arguments)]
 fn gemm<const ACCUM: bool>(
     c: &mut [f64],
@@ -367,17 +338,14 @@ fn gemm<const ACCUM: bool>(
 
 /// Epilogue applied to a finished output block, row by row.
 enum Epilogue<'a> {
-    None,
     Bias(&'a [f64]),
     BiasGelu(&'a [f64]),
 }
 
 /// Apply an epilogue to a finished `rows × m` block while it is
-/// cache-hot (shared by the serial and parallel paths — identical
-/// operation order in both).
+/// cache-hot.
 fn apply_epilogue(buf: &mut [f64], m: usize, epilogue: &Epilogue<'_>) {
     match epilogue {
-        Epilogue::None => {}
         Epilogue::Bias(bias) => {
             for row in buf.chunks_exact_mut(m) {
                 for (o, &bv) in row.iter_mut().zip(*bias) {
@@ -395,124 +363,40 @@ fn apply_epilogue(buf: &mut [f64], m: usize, epilogue: &Epilogue<'_>) {
     }
 }
 
-/// Blocked `A · B` with an optional fused per-row epilogue; the shared
-/// engine under [`matmul`], [`linear_bias`] and [`linear_bias_gelu`].
-///
-/// At `jobs == 1` the whole product is computed into one
-/// [`workspace`]-pooled buffer (no per-block buffers, no gather copy,
-/// zero steady-state heap allocations); block decomposition does not
-/// affect any element's accumulation order, so serial and parallel
-/// outputs stay bit-identical.
-fn matmul_blocked(a: &Matrix, b: &Matrix, epilogue: &Epilogue<'_>, jobs: usize) -> Matrix {
+/// `A · B` with a fused per-row epilogue; the shared engine under
+/// [`linear_bias`] and [`linear_bias_gelu`]. The whole product is
+/// computed into one [`workspace`]-pooled buffer (zero steady-state heap
+/// allocations).
+fn matmul_fused(a: &Matrix, b: &Matrix, epilogue: &Epilogue<'_>) -> Matrix {
     assert_eq!(a.cols(), b.rows(), "matmul: inner dimension mismatch");
     let (n, kdim, m) = (a.rows(), a.cols(), b.cols());
-    if let Epilogue::Bias(bias) | Epilogue::BiasGelu(bias) = epilogue {
-        assert_eq!(bias.len(), m, "matmul: bias/out dimension mismatch");
-    }
-    let jobs = gate_jobs(jobs, 2 * n * kdim * m);
-    let a_flat = a.as_slice();
-    let b_flat = b.as_slice();
-    if jobs == 1 {
-        let mut data = workspace::take_f64(n * m);
-        gemm::<false>(&mut data, m, a_flat, kdim, b_flat, n, kdim, m);
-        apply_epilogue(&mut data, m, epilogue);
-        return Matrix::from_vec(n, m, data);
-    }
-    let blocks = n.div_ceil(TILE_I).max(1);
-    let block_bufs: Vec<Vec<f64>> = parallel::run_indexed(jobs, blocks, |bi| {
-        let i0 = bi * TILE_I;
-        let i1 = (i0 + TILE_I).min(n);
-        let rows = i1 - i0;
-        let mut buf = vec![0.0f64; rows * m];
-        gemm::<false>(&mut buf, m, &a_flat[i0 * kdim..i1 * kdim], kdim, b_flat, rows, kdim, m);
-        apply_epilogue(&mut buf, m, epilogue);
-        buf
-    });
-    let mut data = Vec::with_capacity(n * m);
-    for buf in block_bufs {
-        data.extend_from_slice(&buf);
-    }
+    let (Epilogue::Bias(bias) | Epilogue::BiasGelu(bias)) = epilogue;
+    assert_eq!(bias.len(), m, "matmul: bias/out dimension mismatch");
+    let mut data = workspace::take_f64(n * m);
+    gemm::<false>(&mut data, m, a.as_slice(), kdim, b.as_slice(), n, kdim, m);
+    apply_epilogue(&mut data, m, epilogue);
     Matrix::from_vec(n, m, data)
 }
 
-/// Tiled, row-parallel matrix product `A · B`.
-///
-/// Bit-identical to [`Matrix::matmul`] on finite inputs (same ascending-
-/// `k` accumulation order per output element), up to the sign of zero.
-/// Unlike the naive path there is no `a == 0.0` skip, so non-finite
-/// values in `B` always propagate.
-pub fn matmul(a: &Matrix, b: &Matrix, jobs: usize) -> Matrix {
+/// Fused affine map `X · W + bias`: the bias lands while the output
+/// block is cache-hot. Same accumulation order as the unfused
+/// reference, `(Σ_k x·w) + bias`, so bit-identical to it. Unlike
+/// [`Matrix::matmul`] there is no `a == 0.0` skip, so non-finite values
+/// in `W` always propagate.
+pub fn linear_bias(x: &Matrix, w: &Matrix, bias: &[f64]) -> Matrix {
     let t = std::time::Instant::now();
-    let out = matmul_blocked(a, b, &Epilogue::None, jobs);
-    stats::record(stats::Kernel::Matmul, t.elapsed());
-    out
-}
-
-/// `A · Bᵀ` where `bt` stores `Bᵀ` row-major (`m × k`): every output
-/// element is a dot product of two contiguous rows — the layout-friendly
-/// fast path for similarity matrices and attention logits.
-///
-/// Each element is a [`reduce::dot`] (tier-dispatched, fixed 8-lane
-/// accumulation order — byte-identical across SIMD tiers and job
-/// counts). That order differs from `a.matmul(&bt.transpose())`'s
-/// sequential fold only in rounding (≤ 1e-12 relative on encoder-scale
-/// inputs; tested).
-pub fn matmul_transb(a: &Matrix, bt: &Matrix, jobs: usize) -> Matrix {
-    assert_eq!(a.cols(), bt.cols(), "matmul_transb: inner dimension mismatch");
-    let t = std::time::Instant::now();
-    let (n, kdim, m) = (a.rows(), a.cols(), bt.rows());
-    let jobs = gate_jobs(jobs, 2 * n * kdim * m);
-    let out = if jobs == 1 {
-        let mut data = workspace::take_f64(n * m);
-        for j in 0..m {
-            let b_row = bt.row(j);
-            for i in 0..n {
-                data[i * m + j] = reduce::dot(a.row(i), b_row);
-            }
-        }
-        Matrix::from_vec(n, m, data)
-    } else {
-        let blocks = n.div_ceil(TILE_I).max(1);
-        let block_bufs: Vec<Vec<f64>> = parallel::run_indexed(jobs, blocks, |bi| {
-            let i0 = bi * TILE_I;
-            let i1 = (i0 + TILE_I).min(n);
-            let mut buf = vec![0.0f64; (i1 - i0) * m];
-            for j in 0..m {
-                let b_row = bt.row(j);
-                for i in i0..i1 {
-                    buf[(i - i0) * m + j] = reduce::dot(a.row(i), b_row);
-                }
-            }
-            buf
-        });
-        let mut data = Vec::with_capacity(n * m);
-        for buf in block_bufs {
-            data.extend_from_slice(&buf);
-        }
-        Matrix::from_vec(n, m, data)
-    };
-    stats::record(stats::Kernel::Matmul, t.elapsed());
-    out
-}
-
-/// Fused affine map `X · W + bias`, row-parallel. Equivalent to
-/// [`matmul`] followed by a bias pass, but the bias lands while the
-/// output block is cache-hot. Same accumulation order as the unfused
-/// reference: `(Σ_k x·w) + bias` — bit-identical to it.
-pub fn linear_bias(x: &Matrix, w: &Matrix, bias: &[f64], jobs: usize) -> Matrix {
-    let t = std::time::Instant::now();
-    let out = matmul_blocked(x, w, &Epilogue::Bias(bias), jobs);
+    let out = matmul_fused(x, w, &Epilogue::Bias(bias));
     stats::record(stats::Kernel::LinearBias, t.elapsed());
     out
 }
 
-/// Fused `GELU(X · W + bias)`, row-parallel — the first half of the
-/// Transformer feed-forward block in one pass. The GELU is evaluated
-/// with [`fastmath::gelu_approx`]: ≤ 1e-13 relative vs the reference
+/// Fused `GELU(X · W + bias)` — the first half of the Transformer
+/// feed-forward block in one pass. The GELU is evaluated with
+/// [`fastmath::gelu_approx`]: ≤ 1e-13 relative vs the reference
 /// [`gelu`] (the matmul+bias underneath is still bit-identical).
-pub fn linear_bias_gelu(x: &Matrix, w: &Matrix, bias: &[f64], jobs: usize) -> Matrix {
+pub fn linear_bias_gelu(x: &Matrix, w: &Matrix, bias: &[f64]) -> Matrix {
     let t = std::time::Instant::now();
-    let out = matmul_blocked(x, w, &Epilogue::BiasGelu(bias), jobs);
+    let out = matmul_fused(x, w, &Epilogue::BiasGelu(bias));
     stats::record(stats::Kernel::LinearBiasGelu, t.elapsed());
     out
 }
@@ -548,13 +432,11 @@ pub struct AttentionSpec<'a> {
 ///
 /// Per call, `K` and `V` are repacked into per-head contiguous panels
 /// (`Kᵀ` per head for the logit GEMM, `V` per head for the value
-/// aggregation); query-row blocks are then processed independently — in
-/// parallel across `jobs` workers — through three register-tiled steps:
-/// logits (`Q·Kᵀ`, ascending-`d` order), per-row softmax
+/// aggregation); each head then runs three register-tiled steps over
+/// all query rows: logits (`Q·Kᵀ`, ascending-`d` order), per-row softmax
 /// ([`fastmath::exp_approx`], ≤ 1e-14 relative), value aggregation
-/// (`W·V`, ascending-`j` order). Outputs are bit-identical at any job
-/// count; vs the scalar reference the only deviation is the documented
-/// softmax ULP bound.
+/// (`W·V`, ascending-`j` order). Vs the scalar reference the only
+/// deviation is the documented softmax ULP bound.
 ///
 /// **Fully-masked queries** (a row of the mask with no permitted key)
 /// attend only themselves: the former uniform-softmax fallback attended
@@ -563,13 +445,7 @@ pub struct AttentionSpec<'a> {
 ///
 /// # Panics
 /// Panics on shape mismatches between `q`/`k`/`v`/`spec`.
-pub fn attention(
-    q: &Matrix,
-    k: &Matrix,
-    v: &Matrix,
-    spec: &AttentionSpec<'_>,
-    jobs: usize,
-) -> (Matrix, Matrix) {
+pub fn attention(q: &Matrix, k: &Matrix, v: &Matrix, spec: &AttentionSpec<'_>) -> (Matrix, Matrix) {
     let t = std::time::Instant::now();
     let n = q.rows();
     let dim = q.cols();
@@ -611,74 +487,12 @@ pub fn attention(
         }
     }
 
-    // ~2 flops/element for Q·Kᵀ plus 2 for weights·V, per head.
-    let jobs = gate_jobs(jobs, 4 * n * n * dim);
-    let result = if jobs == 1 {
-        // Serial path: the whole sequence is one row block written into
-        // pooled buffers. The block decomposition never changes any
-        // element's accumulation order, so this is bit-identical to the
-        // parallel path at any job count.
-        let mut out = workspace::take_f64(n * dim);
-        let mut weights = workspace::take_f64(n * n);
-        let mut wh = workspace::take_f64(n * n);
-        attention_rows(
-            0,
-            n,
-            n,
-            dim,
-            n_heads,
-            head_dim,
-            &qs,
-            &kt,
-            &vh,
-            spec,
-            &mut out,
-            &mut weights,
-            &mut wh,
-        );
-        workspace::give_f64(wh);
-        (Matrix::from_vec(n, dim, out), Matrix::from_vec(n, n, weights))
-    } else {
-        let blocks = n.div_ceil(ATTN_ROW_BLOCK).max(1);
-        let q_flat = &qs[..];
-        let kt_ref = &kt[..];
-        let vh_ref = &vh[..];
-        let block_out: Vec<(Vec<f64>, Vec<f64>)> = parallel::run_indexed(jobs, blocks, |bi| {
-            let i0 = bi * ATTN_ROW_BLOCK;
-            let i1 = (i0 + ATTN_ROW_BLOCK).min(n);
-            let rows = i1 - i0;
-            if rows == 0 {
-                return (Vec::new(), Vec::new());
-            }
-            let mut out = vec![0.0f64; rows * dim];
-            let mut weights = vec![0.0f64; rows * n];
-            // One head's logits → attention weights for the row block.
-            let mut wh = vec![0.0f64; rows * n];
-            attention_rows(
-                i0,
-                i1,
-                n,
-                dim,
-                n_heads,
-                head_dim,
-                q_flat,
-                kt_ref,
-                vh_ref,
-                spec,
-                &mut out,
-                &mut weights,
-                &mut wh,
-            );
-            (out, weights)
-        });
-        let mut out_data = Vec::with_capacity(n * dim);
-        let mut w_data = Vec::with_capacity(n * n);
-        for (o, w) in block_out {
-            out_data.extend_from_slice(&o);
-            w_data.extend_from_slice(&w);
-        }
-        (Matrix::from_vec(n, dim, out_data), Matrix::from_vec(n, n, w_data))
-    };
+    let mut out = workspace::take_f64(n * dim);
+    let mut weights = workspace::take_f64(n * n);
+    let mut wh = workspace::take_f64(n * n);
+    attention_rows(n, &qs, &kt, &vh, spec, &mut out, &mut weights, &mut wh);
+    let result = (Matrix::from_vec(n, dim, out), Matrix::from_vec(n, n, weights));
+    workspace::give_f64(wh);
     workspace::give_f64(vh);
     workspace::give_f64(kt);
     workspace::give_f64(qs);
@@ -686,19 +500,12 @@ pub fn attention(
     result
 }
 
-/// The attention body for query rows `[i0, i1)`: logits GEMM, bias/mask,
-/// softmax, head-summed weights, value aggregation. Shared verbatim by
-/// the serial (whole-sequence) and parallel (per-block) paths so the two
-/// cannot drift. `out` is `rows × dim`, `weights` (zero-initialized) and
-/// `wh` (scratch) are `rows × n`.
+/// The attention body over all `n` query rows: logits GEMM, bias/mask,
+/// softmax, head-summed weights, value aggregation. `out` is `n × dim`,
+/// `weights` (zero-initialized) and `wh` (scratch) are `n × n`.
 #[allow(clippy::too_many_arguments)]
 fn attention_rows(
-    i0: usize,
-    i1: usize,
     n: usize,
-    dim: usize,
-    n_heads: usize,
-    head_dim: usize,
     q_flat: &[f64],
     kt: &[f64],
     vh: &[f64],
@@ -707,20 +514,19 @@ fn attention_rows(
     weights: &mut [f64],
     wh: &mut [f64],
 ) {
-    let rows = i1 - i0;
+    let (n_heads, head_dim) = (spec.n_heads, spec.head_dim);
+    let dim = n_heads * head_dim;
     for h in 0..n_heads {
         let lo = h * head_dim;
-        // Logits for the row block in one register-tiled GEMM:
-        // wh[r][j] = Σ_d q[i0+r][lo+d] · ktʰ[d][j] — the same
-        // ascending-d order as the scalar dot.
-        let q_panel = &q_flat[i0 * dim + lo..(i1 - 1) * dim + lo + head_dim];
+        // Logits for every query row in one register-tiled GEMM:
+        // wh[i][j] = Σ_d q[i][lo+d] · ktʰ[d][j] — the same ascending-d
+        // order as the scalar dot.
         let kt_panel = &kt[lo * n..(lo + head_dim) * n];
-        gemm::<false>(wh, n, q_panel, dim, kt_panel, rows, head_dim, n);
+        gemm::<false>(wh, n, &q_flat[lo..], dim, kt_panel, n, head_dim, n);
         // Bias, mask, softmax — per query row (the logit scale is
         // already folded into the pre-scaled Q panel).
-        for r in 0..rows {
-            let i = i0 + r;
-            let lrow = &mut wh[r * n..(r + 1) * n];
+        for i in 0..n {
+            let lrow = &mut wh[i * n..(i + 1) * n];
             if let Some(bias) = spec.bias {
                 let b_row = &bias[(h * n + i) * n..(h * n + i + 1) * n];
                 for (l, &bv) in lrow.iter_mut().zip(b_row) {
@@ -755,7 +561,7 @@ fn attention_rows(
             // One fused pass while the row is cache-hot: apply the
             // deferred softmax normalization and accumulate the
             // head-summed weights (ascending-h order).
-            let w_acc = &mut weights[r * n..(r + 1) * n];
+            let w_acc = &mut weights[i * n..(i + 1) * n];
             for (wa, x) in w_acc.iter_mut().zip(lrow.iter_mut()) {
                 let wv = *x * inv;
                 *x = wv;
@@ -763,10 +569,10 @@ fn attention_rows(
             }
         }
         // Value aggregation, register-tiled:
-        // out[r][lo+d] = Σ_j wh[r][j] · vhʰ[j][d] (ascending j; each
+        // out[i][lo+d] = Σ_j wh[i][j] · vhʰ[j][d] (ascending j; each
         // head writes a disjoint column range of `out`).
         let vh_panel = &vh[h * n * head_dim..(h + 1) * n * head_dim];
-        gemm::<false>(&mut out[lo..], dim, wh, n, vh_panel, rows, n, head_dim);
+        gemm::<false>(&mut out[lo..], dim, wh, n, vh_panel, n, n, head_dim);
     }
 }
 
@@ -775,18 +581,13 @@ fn attention_rows(
 /// These are the semantic ground truth the fused kernels must never
 /// drift from: CI runs an equivalence job comparing each kernel against
 /// its reference on randomized inputs. They implement the *fixed*
-/// semantics (NaN-correct matmul, self-delta for fully-masked queries)
-/// with libm transcendentals — `matmul`/`linear_bias` must match
-/// bit-for-bit, `attention`/`linear_bias_gelu` to the documented
-/// [`crate::fastmath`] ULP bounds.
+/// semantics (self-delta for fully-masked queries) with libm
+/// transcendentals — `linear_bias` must match bit-for-bit,
+/// `attention`/`linear_bias_gelu` to the documented [`crate::fastmath`]
+/// ULP bounds.
 pub mod reference {
     use super::{gelu, softmax_inplace, AttentionSpec};
     use crate::matrix::Matrix;
-
-    /// Naive `A · B` (delegates to [`Matrix::matmul`]).
-    pub fn matmul(a: &Matrix, b: &Matrix) -> Matrix {
-        a.matmul(b)
-    }
 
     /// Unfused `X · W + bias`.
     pub fn linear_bias(x: &Matrix, w: &Matrix, bias: &[f64]) -> Matrix {
@@ -877,23 +678,19 @@ pub mod stats {
     /// The instrumented kernel families.
     #[derive(Debug, Clone, Copy, PartialEq, Eq)]
     pub enum Kernel {
-        /// [`super::matmul`] and [`super::matmul_transb`].
-        Matmul = 0,
         /// [`super::linear_bias`].
-        LinearBias = 1,
+        LinearBias = 0,
         /// [`super::linear_bias_gelu`].
-        LinearBiasGelu = 2,
+        LinearBiasGelu = 1,
         /// [`super::attention`].
-        Attention = 3,
+        Attention = 2,
     }
 
-    const N: usize = 4;
-    const NAMES: [&str; N] = ["matmul", "linear_bias", "linear_bias_gelu", "attention"];
+    const N: usize = 3;
+    const NAMES: [&str; N] = ["linear_bias", "linear_bias_gelu", "attention"];
 
-    static CALLS: [AtomicU64; N] =
-        [AtomicU64::new(0), AtomicU64::new(0), AtomicU64::new(0), AtomicU64::new(0)];
-    static NANOS: [AtomicU64; N] =
-        [AtomicU64::new(0), AtomicU64::new(0), AtomicU64::new(0), AtomicU64::new(0)];
+    static CALLS: [AtomicU64; N] = [AtomicU64::new(0), AtomicU64::new(0), AtomicU64::new(0)];
+    static NANOS: [AtomicU64; N] = [AtomicU64::new(0), AtomicU64::new(0), AtomicU64::new(0)];
 
     /// Record one kernel invocation. `sum` accumulation saturates, like
     /// the runtime latency histograms.
@@ -940,7 +737,7 @@ pub mod stats {
             self.kernels.iter().fold(0u64, |a, (_, t)| a.saturating_add(t.total_ns))
         }
 
-        /// One-line report: `matmul 12×/3.4ms attention 4×/9.1ms …`
+        /// One-line report: `linear_bias 12×/3.4ms attention 4×/9.1ms …`
         /// (families with zero calls are omitted; empty → `none`).
         pub fn render(&self) -> String {
             let parts: Vec<String> = self
@@ -1007,39 +804,17 @@ mod tests {
     }
 
     #[test]
-    fn matmul_matches_reference_exactly() {
+    fn linear_bias_zero_bias_matches_reference_exactly() {
         let mut rng = SplitMix64::new(11);
         for (n, k, m) in [(1, 1, 1), (3, 5, 2), (33, 65, 17), (70, 40, 70)] {
             let a = random_matrix(&mut rng, n, k);
             let b = random_matrix(&mut rng, k, m);
-            for jobs in [1, 4] {
-                assert_matrix_eq(
-                    &matmul(&a, &b, jobs),
-                    &reference::matmul(&a, &b),
-                    &format!("matmul {n}x{k}x{m} jobs={jobs}"),
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn matmul_transb_matches_transpose_product() {
-        // matmul_transb reduces in the fixed 8-lane order (see
-        // crate::reduce), so vs the sequential-fold transpose product it
-        // agrees to rounding; across jobs and SIMD tiers it is bitwise.
-        let mut rng = SplitMix64::new(12);
-        let a = random_matrix(&mut rng, 40, 24);
-        let bt = random_matrix(&mut rng, 33, 24);
-        let slow = a.matmul(&bt.transpose());
-        let base = matmul_transb(&a, &bt, 1);
-        assert_matrix_close(&base, &slow, 1e-12, "matmul_transb vs transpose product");
-        for jobs in [1, 3] {
-            for tier in crate::simd::available_tiers() {
-                crate::simd::force_tier(Some(tier));
-                let fast = matmul_transb(&a, &bt, jobs);
-                crate::simd::force_tier(None);
-                assert_matrix_eq(&fast, &base, &format!("matmul_transb jobs={jobs} tier={tier}"));
-            }
+            let zero = vec![0.0; m];
+            assert_matrix_eq(
+                &linear_bias(&a, &b, &zero),
+                &reference::linear_bias(&a, &b, &zero),
+                &format!("linear_bias {n}x{k}x{m}"),
+            );
         }
     }
 
@@ -1049,21 +824,19 @@ mod tests {
         let x = random_matrix(&mut rng, 50, 32);
         let w = random_matrix(&mut rng, 32, 48);
         let bias: Vec<f64> = (0..48).map(|_| rng.next_normal_with(0.0, 0.5)).collect();
-        for jobs in [1, 4] {
-            // The fused matmul+bias path is bit-identical; the GELU
-            // epilogue carries the documented fastmath bound.
-            assert_matrix_eq(
-                &linear_bias(&x, &w, &bias, jobs),
-                &reference::linear_bias(&x, &w, &bias),
-                "linear_bias",
-            );
-            assert_matrix_close(
-                &linear_bias_gelu(&x, &w, &bias, jobs),
-                &reference::linear_bias_gelu(&x, &w, &bias),
-                1e-12,
-                "linear_bias_gelu",
-            );
-        }
+        // The fused matmul+bias path is bit-identical; the GELU epilogue
+        // carries the documented fastmath bound.
+        assert_matrix_eq(
+            &linear_bias(&x, &w, &bias),
+            &reference::linear_bias(&x, &w, &bias),
+            "linear_bias",
+        );
+        assert_matrix_close(
+            &linear_bias_gelu(&x, &w, &bias),
+            &reference::linear_bias_gelu(&x, &w, &bias),
+            1e-12,
+            "linear_bias_gelu",
+        );
     }
 
     fn attention_case(
@@ -1088,19 +861,11 @@ mod tests {
             mask: with_mask.then_some(mask.as_slice()),
         };
         let (ro, rw) = reference::attention(&q, &k, &v, &spec);
-        let (o1, w1) = attention(&q, &k, &v, &spec, 1);
-        for jobs in [1, 4] {
-            let (o, w) = attention(&q, &k, &v, &spec, jobs);
-            let tag = format!(
-                "attention n={n} h={n_heads} bias={with_bias} mask={with_mask} jobs={jobs}"
-            );
-            // vs reference: the documented softmax ULP bound.
-            assert_matrix_close(&o, &ro, 1e-12, &format!("{tag} out"));
-            assert_matrix_close(&w, &rw, 1e-12, &format!("{tag} weights"));
-            // vs jobs=1: bit-identical at any job count.
-            assert_matrix_eq(&o, &o1, &format!("{tag} out jobs-identity"));
-            assert_matrix_eq(&w, &w1, &format!("{tag} weights jobs-identity"));
-        }
+        let (o, w) = attention(&q, &k, &v, &spec);
+        let tag = format!("attention n={n} h={n_heads} bias={with_bias} mask={with_mask}");
+        // vs reference: the documented softmax ULP bound.
+        assert_matrix_close(&o, &ro, 1e-12, &format!("{tag} out"));
+        assert_matrix_close(&w, &rw, 1e-12, &format!("{tag} weights"));
     }
 
     #[test]
@@ -1110,35 +875,6 @@ mod tests {
             for (wb, wm) in [(false, false), (true, false), (false, true), (true, true)] {
                 attention_case(&mut rng, n, h, d, wb, wm);
             }
-        }
-    }
-
-    #[test]
-    fn kernels_bit_identical_across_job_counts() {
-        // Shapes above MIN_PAR_FLOPS so the parallel path actually runs.
-        let mut rng = SplitMix64::new(21);
-        let a = random_matrix(&mut rng, 80, 80);
-        let b = random_matrix(&mut rng, 80, 80);
-        let bias: Vec<f64> = (0..80).map(|_| rng.next_normal_with(0.0, 0.5)).collect();
-        let q = random_matrix(&mut rng, 64, 32);
-        let k = random_matrix(&mut rng, 64, 32);
-        let v = random_matrix(&mut rng, 64, 32);
-        let spec = AttentionSpec {
-            n_heads: 4,
-            head_dim: 8,
-            scale: 1.0 / 8.0f64.sqrt(),
-            bias: None,
-            mask: None,
-        };
-        let (o1, w1) = attention(&q, &k, &v, &spec, 1);
-        let mm1 = matmul(&a, &b, 1);
-        let lg1 = linear_bias_gelu(&a, &b, &bias, 1);
-        for jobs in [2, 4, 8] {
-            assert_matrix_eq(&matmul(&a, &b, jobs), &mm1, "matmul jobs-identity");
-            assert_matrix_eq(&linear_bias_gelu(&a, &b, &bias, jobs), &lg1, "gelu jobs-identity");
-            let (o, w) = attention(&q, &k, &v, &spec, jobs);
-            assert_matrix_eq(&o, &o1, "attention out jobs-identity");
-            assert_matrix_eq(&w, &w1, "attention weights jobs-identity");
         }
     }
 
@@ -1154,7 +890,7 @@ mod tests {
         let mask: Vec<bool> = (0..n * n).map(|idx| idx / n != 2).collect();
         let spec =
             AttentionSpec { n_heads: h, head_dim: d, scale: 0.5, bias: None, mask: Some(&mask) };
-        let (out, w) = attention(&q, &k, &v, &spec, 1);
+        let (out, w) = attention(&q, &k, &v, &spec);
         for j in 0..n {
             let want = if j == 2 { h as f64 } else { 0.0 };
             assert_eq!(w[(2, j)], want, "fully-masked query must be a self-delta");
@@ -1219,11 +955,11 @@ mod tests {
     }
 
     #[test]
-    fn matmul_propagates_nonfinite_b() {
-        // a == 0.0 rows must not swallow NaN/inf coming from B.
+    fn linear_bias_propagates_nonfinite_w() {
+        // a == 0.0 rows must not swallow NaN/inf coming from W.
         let a = Matrix::from_rows(&[vec![0.0, 1.0]]);
         let b = Matrix::from_rows(&[vec![f64::INFINITY, 2.0], vec![3.0, 4.0]]);
-        let c = matmul(&a, &b, 1);
+        let c = linear_bias(&a, &b, &[0.0, 0.0]);
         assert!(c[(0, 0)].is_nan(), "0 × ∞ must produce NaN, got {}", c[(0, 0)]);
         assert_eq!(c[(0, 1)], 4.0);
     }
@@ -1233,12 +969,12 @@ mod tests {
         stats::reset();
         let mut rng = SplitMix64::new(16);
         let a = random_matrix(&mut rng, 8, 8);
-        let _ = matmul(&a, &a, 1);
-        let _ = linear_bias(&a, &a, &vec![0.0; 8], 1);
+        let _ = linear_bias(&a, &a, &[0.0; 8]);
+        let _ = linear_bias_gelu(&a, &a, &[0.0; 8]);
         let snap = stats::snapshot();
         assert!(snap.total_calls() >= 2);
         let text = snap.render();
-        assert!(text.contains("matmul"), "render mentions kernels: {text}");
+        assert!(text.contains("linear_bias_gelu"), "render mentions kernels: {text}");
         stats::reset();
         assert_eq!(stats::snapshot().total_calls(), 0);
         assert_eq!(stats::snapshot().render(), "none");

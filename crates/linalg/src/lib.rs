@@ -10,16 +10,15 @@
 //!   elementwise arithmetic and mean vectors.
 //! - [`matrix`]: a row-major dense [`matrix::Matrix`] with multiplication,
 //!   transpose, row views and per-row map/reduce helpers.
-//! - [`kernels`]: the fused, tiled, row-parallel encoder kernels
-//!   (register-tiled matmul with a transposed-B fast path, bias/GELU-fused
-//!   linear maps, head-batched attention) plus their scalar reference
-//!   implementations and the kernel timing counters.
+//! - [`kernels`]: the fused, tiled, serial encoder kernels (register-tiled
+//!   bias/GELU-fused linear maps, head-batched attention) plus their scalar
+//!   reference implementations and the kernel timing counters.
 //! - [`fastmath`]: branch-light, vectorizable polynomial `exp`/`tanh`/GELU
 //!   approximations with documented, regression-tested ULP bounds — the
 //!   kernels' softmax and GELU epilogue run on these.
 //! - [`parallel`]: the scoped worker-pool primitive (ordered results,
-//!   dynamic self-scheduling, nested-parallelism guard) that both the
-//!   kernels and `observatory-runtime`'s table-batch pool run on.
+//!   dynamic self-scheduling) that `observatory-runtime`'s table-batch
+//!   pool and the ANN build run on.
 //! - [`moments`]: mean vector and covariance matrix of a sample of vectors
 //!   (the inputs to the multivariate coefficient of variation).
 //! - [`pca`]: principal component analysis via power iteration with

@@ -107,8 +107,8 @@ impl Matrix {
     /// defines `0 × ±∞` and `0 × NaN` as NaN, so an unconditional skip
     /// would silently swallow non-finite values flowing in from `other`
     /// and report a clean product where the true result is poisoned.
-    /// Kernel-layer consumers use [`crate::kernels::matmul`], which has
-    /// no skip at all.
+    /// The encoder kernels ([`crate::kernels::linear_bias`]) have no skip
+    /// at all.
     ///
     /// # Panics
     /// Panics if `self.cols != other.rows`.

@@ -2,14 +2,14 @@
 //! results, zero `'static` bounds.
 //!
 //! This module is the dependency-inverted core of the
-//! `observatory-runtime` worker pool. The runtime crate sits *above* the
-//! transformer in the crate graph (runtime → models → transformer →
-//! linalg), so the primitive the encoder kernels parallelize on lives
-//! here, at the bottom, and `observatory_runtime::pool` wraps it with
-//! span instrumentation. One pool implementation, two entry points —
-//! table-level batches (runtime) and row/head-level kernel loops
-//! (transformer) — both honouring the same `--jobs` /
-//! `OBSERVATORY_JOBS` setting.
+//! `observatory-runtime` worker pool: it lives here, at the bottom of the
+//! crate graph, so crates that do not depend on the runtime (the search
+//! crate's sharded ANN build) share one implementation, and
+//! `observatory_runtime::pool` wraps it with span instrumentation.
+//! Parallelism is table-level only — engine encode batches, store
+//! compaction, ANN shards. The encoder kernels never call in here:
+//! every supported sequence is small enough that splitting one encode
+//! across threads costs more in spawns than it saves.
 //!
 //! Determinism: [`run_indexed`] evaluates a pure `f(0..n)` on up to
 //! `jobs` threads and returns results **in index order**, so callers
@@ -17,32 +17,9 @@
 //! count or scheduling. Work distribution is a single shared atomic
 //! cursor (dynamic self-scheduling), which load-balances skewed
 //! workloads without a per-item cost model.
-//!
-//! Nesting: worker threads mark themselves with a thread-local flag.
-//! [`current_jobs`] reports `1` inside a worker, so a kernel invoked
-//! from an `encode_batch` worker runs serially instead of spawning
-//! `jobs²` threads. The flag changes only *where* work runs, never its
-//! result.
 
-use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc;
-
-thread_local! {
-    /// Set while the current thread is a pool worker.
-    static IN_WORKER: Cell<bool> = const { Cell::new(false) };
-}
-
-/// Process-wide default worker count for kernel-level parallelism.
-/// `0` means "not configured": fall back to [`resolve_jobs`]`(None)`.
-static DEFAULT_JOBS: AtomicUsize = AtomicUsize::new(0);
-
-/// Install the process-wide default used by [`current_jobs`]. The CLI
-/// calls this from `--jobs`; benches call it to pin serial vs parallel
-/// configurations. Passing `0` clears the override.
-pub fn set_default_jobs(jobs: usize) {
-    DEFAULT_JOBS.store(jobs, Ordering::Relaxed);
-}
 
 /// Resolve a worker count: explicit request > `OBSERVATORY_JOBS` env
 /// var > available parallelism (capped at 8 — encode batches rarely
@@ -52,24 +29,6 @@ pub fn resolve_jobs(requested: Option<usize>) -> usize {
         .or_else(|| std::env::var("OBSERVATORY_JOBS").ok().and_then(|v| v.parse::<usize>().ok()))
         .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get().min(8)))
         .max(1)
-}
-
-/// The worker count kernels should use *right now*: `1` on a pool
-/// worker thread (nested parallelism would oversubscribe), otherwise
-/// the [`set_default_jobs`] override or [`resolve_jobs`]`(None)`.
-pub fn current_jobs() -> usize {
-    if IN_WORKER.with(Cell::get) {
-        return 1;
-    }
-    match DEFAULT_JOBS.load(Ordering::Relaxed) {
-        0 => resolve_jobs(None),
-        n => n,
-    }
-}
-
-/// Whether the current thread is a pool worker.
-pub fn in_worker() -> bool {
-    IN_WORKER.with(Cell::get)
 }
 
 /// Evaluate `f(0..n)` on up to `jobs` threads; results are returned in
@@ -90,16 +49,13 @@ where
 /// each spawned worker thread `w` before it pulls work, and the value it
 /// returns is threaded through every `f(&mut ctx, i)` call that worker
 /// makes, then dropped when the worker exits. The runtime pool uses
-/// this to open an RAII tracing span per worker; kernels that need
-/// per-thread scratch buffers can reuse it.
+/// this to open an RAII tracing span per worker.
 ///
 /// The inline fast path (`jobs <= 1 || n <= 1`) spawns no workers and
-/// therefore calls `setup` **zero** times — `f` runs with a fresh
-/// context built from `setup(0)` only when at least one thread spawns.
-/// Inline execution uses a single `setup`-free context obtained the
-/// same way workers do, so `f` must not rely on `setup` being called
-/// exactly once per run. Results are bit-identical to the serial loop
-/// for any `jobs`, because `f` is pure in `i`.
+/// calls `setup(0)` exactly once, on the caller's thread, even when
+/// `n == 0`. Otherwise `setup` runs once per spawned worker,
+/// `jobs.min(n)` times. Results are bit-identical to the serial loop for
+/// any `jobs`, because `f` is pure in `i`.
 ///
 /// # Panics
 /// Re-raises the first worker panic.
@@ -125,7 +81,6 @@ where
             let f = &f;
             let setup = &setup;
             scope.spawn(move || {
-                IN_WORKER.with(|flag| flag.set(true));
                 let mut ctx = setup(w);
                 loop {
                     let i = cursor.fetch_add(1, Ordering::Relaxed);
@@ -192,21 +147,28 @@ mod tests {
     }
 
     #[test]
-    fn workers_report_in_worker() {
-        assert!(!in_worker(), "caller thread is not a worker");
-        let flags = run_indexed(4, 8, |_| in_worker());
-        assert!(flags.iter().all(|&f| f), "worker threads must set the flag");
-        // Nested parallelism collapses to serial.
-        let nested = run_indexed(4, 4, |_| current_jobs());
-        assert!(nested.iter().all(|&j| j == 1), "nested jobs clamp to 1: {nested:?}");
-    }
-
-    #[test]
-    fn default_jobs_override() {
-        set_default_jobs(3);
-        assert_eq!(current_jobs(), 3);
-        set_default_jobs(0);
-        assert!(current_jobs() >= 1);
+    fn setup_runs_once_inline_and_once_per_spawned_worker() {
+        let count = |jobs: usize, n: usize| {
+            let calls = AtomicUsize::new(0);
+            let out = run_indexed_scoped(
+                jobs,
+                n,
+                |_| {
+                    calls.fetch_add(1, Ordering::SeqCst);
+                },
+                |(), i| i,
+            );
+            assert_eq!(out, (0..n).collect::<Vec<_>>(), "jobs={jobs} n={n}");
+            calls.load(Ordering::SeqCst)
+        };
+        // Inline path: exactly one setup(0) on the caller's thread.
+        for (jobs, n) in [(1, 0), (1, 1), (1, 10), (0, 10), (4, 0), (4, 1)] {
+            assert_eq!(count(jobs, n), 1, "inline jobs={jobs} n={n}");
+        }
+        // Spawned path: one setup per worker, jobs.min(n) workers.
+        for (jobs, n) in [(2, 10), (3, 20), (4, 2), (8, 5)] {
+            assert_eq!(count(jobs, n), jobs.min(n), "spawned jobs={jobs} n={n}");
+        }
     }
 
     #[test]

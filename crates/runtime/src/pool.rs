@@ -4,19 +4,16 @@
 //! results returned **in index order**, borrowed data flowing into
 //! workers via `std::thread::scope` — lives in
 //! [`observatory_linalg::parallel`], at the bottom of the crate graph,
-//! so the transformer's encoder kernels can row-parallelize on the same
-//! primitive (the runtime crate sits *above* the transformer and cannot
-//! be a dependency of it). This module wraps the primitive with the
-//! engine's observability: each spawned worker opens a `pool/worker`
-//! span (trace level) parented to the caller's innermost span, and
-//! records how many items it processed.
+//! so crates below the runtime (the search crate's ANN build) share it.
+//! This module wraps the primitive with the engine's observability: each
+//! spawned worker opens a `pool/worker` span (trace level) parented to
+//! the caller's innermost span, and records how many items it processed.
 //!
 //! Callers observe exactly the output of the serial loop regardless of
 //! worker count or scheduling; panics propagate to the caller instead of
-//! being lost. Worker threads are flagged thread-locally, which clamps
-//! nested kernel parallelism to 1 (see
-//! [`observatory_linalg::parallel::current_jobs`]) so a parallel
-//! `encode_batch` never oversubscribes the machine with `jobs²` threads.
+//! being lost. This is the only level of encode parallelism: the encoder
+//! kernels run serially on whichever worker encodes the table, so a
+//! parallel `encode_batch` uses exactly `jobs` threads.
 
 use observatory_linalg::parallel;
 use observatory_obs as obs;
@@ -111,14 +108,6 @@ mod tests {
         assert_eq!(resolve_jobs(Some(3)), 3);
         assert_eq!(resolve_jobs(Some(0)), 1, "clamped to >= 1");
         assert!(resolve_jobs(None) >= 1);
-    }
-
-    #[test]
-    fn workers_clamp_nested_kernel_jobs() {
-        // Inside a pool worker, kernel-level parallelism must collapse
-        // to serial so encode_batch never spawns jobs² threads.
-        let nested = run_indexed(4, 4, |_| observatory_linalg::parallel::current_jobs());
-        assert!(nested.iter().all(|&j| j == 1), "nested jobs clamp to 1: {nested:?}");
     }
 
     #[test]

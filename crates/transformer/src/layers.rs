@@ -1,14 +1,14 @@
 //! Transformer building blocks: linear maps, layer normalization,
 //! multi-head self-attention and the GELU feed-forward network.
 //!
-//! All dense math runs on the fused, tiled, row-parallel kernels in
-//! [`observatory_linalg::kernels`]; the worker count comes from
-//! [`observatory_linalg::parallel::current_jobs`] (the CLI's `--jobs` /
-//! `OBSERVATORY_JOBS`, clamped to 1 inside runtime pool workers so a
-//! parallel `encode_batch` never oversubscribes). Kernel-level spans are
-//! emitted at `Level::Trace` under the `kernels` target.
+//! All dense math runs on the fused, tiled kernels in
+//! [`observatory_linalg::kernels`], serially on the calling thread.
+//! Parallelism lives one level up, across tables (`Engine::encode_batch`
+//! and the property runners), so one encode never spawns threads.
+//! Kernel-level spans are emitted at `Level::Trace` under the `kernels`
+//! target.
 
-use observatory_linalg::{kernels, parallel, workspace, Matrix, SplitMix64};
+use observatory_linalg::{kernels, workspace, Matrix, SplitMix64};
 use observatory_obs as obs;
 
 pub use observatory_linalg::kernels::{gelu, softmax_inplace};
@@ -51,12 +51,12 @@ impl Linear {
     }
 
     /// Apply to every row of `x` (`n × in_dim` → `n × out_dim`) through
-    /// the fused bias kernel, parallel across row blocks.
+    /// the fused bias kernel.
     pub fn forward(&self, x: &Matrix) -> Matrix {
         let _span = obs::span(obs::Level::Trace, "kernels", "linear")
             .with("rows", x.rows())
             .with("out_dim", self.w.cols());
-        kernels::linear_bias(x, &self.w, &self.b, parallel::current_jobs())
+        kernels::linear_bias(x, &self.w, &self.b)
     }
 
     /// Output dimensionality.
@@ -163,16 +163,14 @@ impl MultiHeadAttention {
     ///
     /// The bias/mask closures in `extras` are evaluated **once** into
     /// flat per-head matrices, then the head-batched
-    /// [`kernels::attention`] runs pure slice arithmetic, parallel
-    /// across query rows. Fully-masked queries attend only themselves
-    /// (see the kernel docs — the former uniform fallback leaked masked
-    /// key content into the output).
+    /// [`kernels::attention`] runs pure slice arithmetic. Fully-masked
+    /// queries attend only themselves (see the kernel docs — the former
+    /// uniform fallback leaked masked key content into the output).
     pub fn forward_with_weights(&self, x: &Matrix, extras: &AttentionBias<'_>) -> (Matrix, Matrix) {
         let n = x.rows();
-        let mut span = obs::span(obs::Level::Trace, "kernels", "attention")
+        let _span = obs::span(obs::Level::Trace, "kernels", "attention")
             .with("rows", n)
             .with("heads", self.n_heads);
-        let jobs = parallel::current_jobs();
         let q = self.q.forward(x);
         let k = self.k.forward(x);
         let v = self.v.forward(x);
@@ -207,7 +205,7 @@ impl MultiHeadAttention {
             bias: bias_buf.as_deref(),
             mask: mask_buf.as_deref(),
         };
-        let (ctx, mut weights) = kernels::attention(&q, &k, &v, &spec, jobs);
+        let (ctx, mut weights) = kernels::attention(&q, &k, &v, &spec);
         // The projected Q/K/V are dead once the kernel returns: hand
         // their capacity back to the pool for the next forward.
         workspace::recycle_matrix(q);
@@ -220,7 +218,6 @@ impl MultiHeadAttention {
             workspace::give_bool(buf);
         }
         weights.scale_assign(1.0 / self.n_heads as f64);
-        span.record("jobs", jobs);
         let out = self.o.forward(&ctx);
         workspace::recycle_matrix(ctx);
         (out, weights)
@@ -246,9 +243,8 @@ impl FeedForward {
         let _span = obs::span(obs::Level::Trace, "kernels", "ffn")
             .with("rows", x.rows())
             .with("ffn_dim", self.fc1.w.cols());
-        let jobs = parallel::current_jobs();
-        let h = kernels::linear_bias_gelu(x, &self.fc1.w, &self.fc1.b, jobs);
-        let out = kernels::linear_bias(&h, &self.fc2.w, &self.fc2.b, jobs);
+        let h = kernels::linear_bias_gelu(x, &self.fc1.w, &self.fc1.b);
+        let out = kernels::linear_bias(&h, &self.fc2.w, &self.fc2.b);
         // The hidden activation is dead: recycle its capacity.
         workspace::recycle_matrix(h);
         out

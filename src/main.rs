@@ -133,9 +133,6 @@ fn init_engine_from_flags(args: &[String]) -> Result<(), i32> {
         Some(raw) => match raw.parse::<usize>() {
             Ok(jobs) if jobs >= 1 => {
                 let config = EngineConfig { jobs, ..EngineConfig::from_env() };
-                // Kernel-level (row/head) parallelism inside the encoder
-                // follows the same setting; pool workers clamp it to 1.
-                observatory::linalg::parallel::set_default_jobs(jobs);
                 if !observatory::runtime::configure_global(config) {
                     eprintln!("note: engine already initialized; --jobs ignored");
                 }

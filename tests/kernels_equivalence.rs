@@ -1,23 +1,16 @@
-//! Cross-crate kernel equivalence: the fused/tiled/parallel encoder
-//! kernels against their naive scalar references, on randomized inputs.
+//! Cross-crate kernel equivalence: the fused, tiled encoder kernels
+//! against their naive scalar references, on randomized inputs (CI runs
+//! this file as the dedicated equivalence job).
 //!
-//! Two contracts are enforced (CI runs this file as the dedicated
-//! equivalence job):
-//!
-//! 1. **Kernel vs reference.** `matmul` and `linear_bias` must match the
-//!    naive implementations *bit for bit* (same ascending-`k`
-//!    accumulation order, only regrouped into register tiles).
-//!    `linear_bias_gelu` and `attention` run on the `fastmath`
-//!    polynomial transcendentals and must stay within the documented
-//!    ULP bound (≤ 1e-12 relative) of the libm references.
-//! 2. **Job-count determinism.** Every kernel — and a whole encoder
-//!    forward pass — must be bit-identical at `--jobs 1` and
-//!    `--jobs 4`. Parallelism distributes whole row blocks; it never
-//!    changes any reduction order.
+//! `linear_bias` must match the naive implementation *bit for bit* (same
+//! ascending-`k` accumulation order, only regrouped into register
+//! tiles). `linear_bias_gelu` and `attention` run on the `fastmath`
+//! polynomial transcendentals and must stay within the documented ULP
+//! bound (≤ 1e-12 relative) of the libm references. Engine-level
+//! `--jobs` determinism is covered by `tests/runtime_engine.rs`.
 
 use observatory::linalg::kernels::{self, reference, AttentionSpec};
-use observatory::linalg::{parallel, Matrix, SplitMix64};
-use observatory::transformer::{Encoder, TokenInput, TransformerConfig};
+use observatory::linalg::{Matrix, SplitMix64};
 use proptest::prelude::*;
 
 fn random_matrix(rng: &mut SplitMix64, rows: usize, cols: usize) -> Matrix {
@@ -50,9 +43,9 @@ fn assert_close(got: &Matrix, want: &Matrix, tol: f64, what: &str) {
 proptest! {
     #![proptest_config(ProptestConfig { cases: 12, ..ProptestConfig::default() })]
 
-    /// Fused matmul ≡ naive matmul, bitwise, at jobs 1 and 4.
+    /// The fused GEMM alone (a zero bias) ≡ naive matmul, bitwise.
     #[test]
-    fn matmul_matches_naive_bitwise(
+    fn linear_bias_zero_bias_matches_naive_bitwise(
         seed in any::<u64>(),
         n in 1usize..40,
         kd in 1usize..24,
@@ -61,15 +54,14 @@ proptest! {
         let mut rng = SplitMix64::new(seed);
         let a = random_matrix(&mut rng, n, kd);
         let b = random_matrix(&mut rng, kd, m);
-        let want = reference::matmul(&a, &b);
-        let got1 = kernels::matmul(&a, &b, 1);
-        let got4 = kernels::matmul(&a, &b, 4);
-        assert_bit_identical(&got1, &want, "matmul jobs=1 vs naive");
-        assert_bit_identical(&got4, &got1, "matmul jobs=4 vs jobs=1");
+        let zero = vec![0.0; m];
+        let want = reference::linear_bias(&a, &b, &zero);
+        let got = kernels::linear_bias(&a, &b, &zero);
+        assert_bit_identical(&got, &want, "linear_bias zero bias vs naive");
     }
 
     /// Fused linear layers vs naive: bias exactly, GELU within the
-    /// documented fastmath bound; both bit-stable across job counts.
+    /// documented fastmath bound.
     #[test]
     fn linear_kernels_match_naive(
         seed in any::<u64>(),
@@ -83,19 +75,17 @@ proptest! {
         let bias: Vec<f64> = (0..d_out).map(|_| rng.next_normal_with(0.0, 0.2)).collect();
 
         let want = reference::linear_bias(&x, &w, &bias);
-        let got = kernels::linear_bias(&x, &w, &bias, 4);
+        let got = kernels::linear_bias(&x, &w, &bias);
         assert_bit_identical(&got, &want, "linear_bias vs naive");
 
         let want_g = reference::linear_bias_gelu(&x, &w, &bias);
-        let got_g1 = kernels::linear_bias_gelu(&x, &w, &bias, 1);
-        let got_g4 = kernels::linear_bias_gelu(&x, &w, &bias, 4);
-        assert_close(&got_g1, &want_g, 1e-12, "linear_bias_gelu vs naive");
-        assert_bit_identical(&got_g4, &got_g1, "linear_bias_gelu jobs=4 vs jobs=1");
+        let got_g = kernels::linear_bias_gelu(&x, &w, &bias);
+        assert_close(&got_g, &want_g, 1e-12, "linear_bias_gelu vs naive");
     }
 
-    /// Fused attention vs naive (ULP-bounded via fastmath softmax),
-    /// bit-identical across job counts, with random mask/bias — including
-    /// fully-masked query rows, which must attend only themselves.
+    /// Fused attention vs naive (ULP-bounded via fastmath softmax), with
+    /// random mask/bias — including fully-masked query rows, which must
+    /// attend only themselves.
     #[test]
     fn attention_matches_naive(
         seed in any::<u64>(),
@@ -137,12 +127,9 @@ proptest! {
             mask: Some(&mask),
         };
         let (want_out, want_w) = reference::attention(&q, &k, &v, &spec);
-        let (got_out, got_w) = kernels::attention(&q, &k, &v, &spec, 1);
-        let (got_out4, got_w4) = kernels::attention(&q, &k, &v, &spec, 4);
+        let (got_out, got_w) = kernels::attention(&q, &k, &v, &spec);
         assert_close(&got_out, &want_out, 1e-12, "attention out vs naive");
         assert_close(&got_w, &want_w, 1e-12, "attention weights vs naive");
-        assert_bit_identical(&got_out4, &got_out, "attention out jobs=4 vs jobs=1");
-        assert_bit_identical(&got_w4, &got_w, "attention weights jobs=4 vs jobs=1");
 
         if let Some(r) = fully_mask_row {
             let r = r as usize % n;
@@ -156,33 +143,4 @@ proptest! {
             }
         }
     }
-}
-
-/// A whole encoder forward (attention + FFN + layer norms, 2 layers) is
-/// bit-identical when the process-default job count — what the CLI's
-/// `--jobs` flag sets — flips between 1 and 4. The shape is chosen above
-/// the kernels' parallel-gating threshold so the worker pool genuinely
-/// engages at jobs = 4.
-#[test]
-fn encoder_forward_bit_identical_across_jobs() {
-    let seq = 128usize;
-    let encoder = Encoder::new(TransformerConfig {
-        dim: 64,
-        n_heads: 4,
-        n_layers: 2,
-        ffn_dim: 128,
-        max_len: seq,
-        vocab_size: 256,
-        seed_label: "kernels-equivalence".into(),
-        ..Default::default()
-    });
-    let tokens: Vec<TokenInput> = (0..seq).map(|i| TokenInput::plain((i % 256) as u32)).collect();
-
-    parallel::set_default_jobs(1);
-    let serial = encoder.encode(&tokens);
-    parallel::set_default_jobs(4);
-    let parallel_out = encoder.encode(&tokens);
-    parallel::set_default_jobs(0);
-
-    assert_bit_identical(&parallel_out, &serial, "encoder forward jobs=4 vs jobs=1");
 }

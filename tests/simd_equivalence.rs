@@ -18,8 +18,6 @@
 //!   propagated payload unspecified and LLVM freely commutes scalar
 //!   `mul`/`add` operands, so the scalar reference itself has no defined
 //!   payload to match.
-//! - **Job counts**: the GEMM path re-checked at jobs ∈ {1, 4} on top of
-//!   the tier sweep (parallel row blocks must not interact with tiering).
 //!
 //! CI runs this suite twice: once auto-detected (AVX2 where available)
 //! and once with `OBSERVATORY_SIMD=off`, which must pin the dispatch
@@ -151,11 +149,11 @@ proptest! {
         simd::force_tier(None);
     }
 
-    /// GEMM (`matmul`) and the transposed-B product: bitwise across every
-    /// tier × jobs ∈ {1, 4}, shapes spanning the 8-wide column strip,
-    /// its remainder columns, and the row-quad remainder.
+    /// GEMM (through `linear_bias`, the live kernel that wraps it):
+    /// bitwise across every tier, shapes spanning the 8-wide column
+    /// strip, its remainder columns, and the row-quad remainder.
     #[test]
-    fn gemm_bitwise_across_tiers_and_jobs(
+    fn gemm_bitwise_across_tiers(
         seed in any::<u64>(),
         n in 1usize..24,
         kd in 1usize..20,
@@ -165,27 +163,14 @@ proptest! {
         let mut rng = SplitMix64::new(seed);
         let a = random_matrix(&mut rng, n, kd);
         let b = random_matrix(&mut rng, kd, m);
-        let bt = b.transpose();
+        let bias: Vec<f64> = (0..m).map(|_| rng.next_normal_with(0.0, 1.0)).collect();
         simd::force_tier(Some(Tier::Scalar));
-        let want = kernels::matmul(&a, &b, 1);
-        let want_t = kernels::matmul_transb(&a, &bt, 1);
+        let want = kernels::linear_bias(&a, &b, &bias);
         for tier in simd::available_tiers() {
-            for jobs in [1usize, 4] {
-                simd::force_tier(Some(tier));
-                let got = kernels::matmul(&a, &b, jobs);
-                let got_t = kernels::matmul_transb(&a, &bt, jobs);
-                simd::force_tier(None);
-                assert_matrix_bits_eq(
-                    &got,
-                    &want,
-                    &format!("matmul {n}x{kd}x{m} tier={tier:?} jobs={jobs}"),
-                );
-                assert_matrix_bits_eq(
-                    &got_t,
-                    &want_t,
-                    &format!("matmul_transb {n}x{kd}x{m} tier={tier:?} jobs={jobs}"),
-                );
-            }
+            simd::force_tier(Some(tier));
+            let got = kernels::linear_bias(&a, &b, &bias);
+            simd::force_tier(None);
+            assert_matrix_bits_eq(&got, &want, &format!("gemm {n}x{kd}x{m} tier={tier:?}"));
         }
         simd::force_tier(None);
     }

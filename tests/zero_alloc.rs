@@ -1,8 +1,7 @@
 //! Steady-state encoder forwards perform **zero heap allocations**.
 //!
 //! The workspace pool (`observatory_linalg::workspace`) exists so that
-//! the serial (`jobs = 1`) encode hot path stops paying allocator
-//! overhead: every scratch buffer — attention score blocks, repacked
+//! the encode hot path stops paying allocator overhead: every scratch buffer — attention score blocks, repacked
 //! GEMM panels, softmax rows, per-layer intermediates — is taken from a
 //! per-thread free-list and returned after use. After a short warmup
 //! (first encode sizes the pool, second proves the sizes recur) an
@@ -12,13 +11,11 @@
 //! wraps `System` and counts `alloc` / `alloc_zeroed` / `realloc`
 //! calls, then requires the count delta across a steady-state encode to
 //! be exactly zero. The test lives in its own integration-test binary
-//! because a global allocator is a per-binary property.
-//!
-//! Scope: the guarantee covers the *serial* path only. The parallel
-//! path spawns scoped worker threads whose stacks and per-block buffers
-//! inherently allocate; DESIGN.md §11 documents that boundary.
+//! because a global allocator is a per-binary property. The encoders
+//! run in the default configuration: the kernels are always serial, so
+//! there is no job count to pin.
 
-use observatory::linalg::{parallel, workspace};
+use observatory::linalg::workspace;
 use observatory::transformer::{Encoder, TokenInput, TransformerConfig};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -55,8 +52,8 @@ fn alloc_count() -> u64 {
     ALLOCS.load(Ordering::Relaxed)
 }
 
-// The allocation counter and the default-jobs knob are both
-// process-global, so the tests in this binary must not overlap: a
+// The allocation counter is process-global, so the tests in this binary
+// must not overlap: a
 // concurrent test's allocations would land inside another's
 // before/after window.
 static SERIAL: std::sync::Mutex<()> = std::sync::Mutex::new(());
@@ -64,7 +61,6 @@ static SERIAL: std::sync::Mutex<()> = std::sync::Mutex::new(());
 #[test]
 fn steady_state_encode_allocates_nothing() {
     let _serial = SERIAL.lock().unwrap();
-    parallel::set_default_jobs(1);
     let seq = 64usize;
     let encoder = Encoder::new(TransformerConfig {
         dim: 32,
@@ -93,12 +89,11 @@ fn steady_state_encode_allocates_nothing() {
     let after = alloc_count();
     let stats_after = workspace::stats();
     workspace::recycle_matrix(out);
-    parallel::set_default_jobs(0);
 
     assert_eq!(
         after - before,
         0,
-        "steady-state serial encode must perform zero heap allocations \
+        "steady-state encode must perform zero heap allocations \
          (pool hits {} -> {}, misses {} -> {})",
         stats_before.hits,
         stats_after.hits,
@@ -118,7 +113,6 @@ fn steady_state_encode_allocates_nothing() {
 #[test]
 fn shape_change_stabilizes_after_one_encode() {
     let _serial = SERIAL.lock().unwrap();
-    parallel::set_default_jobs(1);
     let encoder = Encoder::new(TransformerConfig {
         dim: 32,
         n_heads: 4,
@@ -145,6 +139,5 @@ fn shape_change_stabilizes_after_one_encode() {
     let out = encoder.encode(&long);
     let after = alloc_count();
     workspace::recycle_matrix(out);
-    parallel::set_default_jobs(0);
     assert_eq!(after - before, 0, "re-grown pool must serve the new shape without allocating");
 }
