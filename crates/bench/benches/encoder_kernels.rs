@@ -14,7 +14,7 @@
 //!
 //! Since the SIMD backend (DESIGN.md §11) the serial rows are additionally
 //! swept across dispatch tiers via `simd::force_tier` — `scalar` vs
-//! `sse2`/`avx2` rows on the same shapes, same process, same buffers, so
+//! `avx2` rows on the same shapes, same process, same buffers, so
 //! the tier delta is the only variable. `bench_simd` (a `src/bin` tool)
 //! emits the machine-readable `BENCH_simd.json` counterpart.
 

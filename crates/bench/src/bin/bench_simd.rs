@@ -4,7 +4,7 @@
 //! (the fastmath exp pass), `gemm` (`linear_bias` with a zero bias) and
 //! a whole 2-layer encoder forward — at the same seq×dim grid as the
 //! `encoder_kernels` criterion bench, with every available tier forced
-//! in turn (`scalar`, `sse2`, `avx2` where the CPU supports them).
+//! in turn (`scalar`, plus `avx2` where the CPU supports it).
 //!
 //! Same process, same buffers, tier forced via `simd::force_tier`: the
 //! dispatch tier is the only variable between rows. Output is one JSON
@@ -20,7 +20,7 @@
 
 use observatory_bench::harness::banner;
 use observatory_linalg::kernels;
-use observatory_linalg::simd::{self, Tier};
+use observatory_linalg::simd;
 use observatory_linalg::{reduce, Matrix, SplitMix64};
 use observatory_transformer::config::TransformerConfig;
 use observatory_transformer::encoder::{Encoder, TokenInput};
@@ -68,14 +68,10 @@ fn time_ns(mut f: impl FnMut()) -> f64 {
     best
 }
 
-fn tier_label(tier: Tier) -> String {
-    format!("{tier:?}").to_lowercase()
-}
-
 struct Row {
     kernel: &'static str,
     shape: String,
-    tier: String,
+    tier: &'static str,
     ns_per_op: f64,
 }
 
@@ -89,7 +85,7 @@ fn main() {
         let shape = format!("seq{seq}_dim{dim}");
         let mut rng = SplitMix64::new(42);
 
-        // dot: the reduction every kNN/LSH/stats scan is built from.
+        // dot: the reduction every kNN/ANN/stats scan is built from.
         let a: Vec<f64> = (0..dim).map(|_| rng.next_normal_with(0.0, 1.0)).collect();
         let b: Vec<f64> = (0..dim).map(|_| rng.next_normal_with(0.0, 1.0)).collect();
         for &tier in &tiers {
@@ -99,7 +95,7 @@ fn main() {
             rows.push(Row {
                 kernel: "dot",
                 shape: shape.clone(),
-                tier: tier_label(tier),
+                tier: tier.name(),
                 ns_per_op: ns,
             });
         }
@@ -121,7 +117,7 @@ fn main() {
             rows.push(Row {
                 kernel: "softmax",
                 shape: shape.clone(),
-                tier: tier_label(tier),
+                tier: tier.name(),
                 ns_per_op: (ns - clone_ns).max(0.0),
             });
         }
@@ -139,7 +135,7 @@ fn main() {
             rows.push(Row {
                 kernel: "gemm",
                 shape: shape.clone(),
-                tier: tier_label(tier),
+                tier: tier.name(),
                 ns_per_op: ns,
             });
         }
@@ -169,14 +165,14 @@ fn main() {
             rows.push(Row {
                 kernel: "encode",
                 shape: shape.clone(),
-                tier: tier_label(tier),
+                tier: tier.name(),
                 ns_per_op: ns,
             });
         }
     }
 
     // Per-kernel speedup of the widest tier over scalar (min/max across shapes).
-    let widest = tier_label(*tiers.last().expect("at least the scalar tier"));
+    let widest = tiers.last().expect("at least the scalar tier").name();
     let mut speedups = String::new();
     for kernel in ["dot", "softmax", "gemm", "encode"] {
         let mut lo = f64::INFINITY;
@@ -208,7 +204,7 @@ fn main() {
     json.push_str(&format!("  \"simd\": \"{}\",\n", simd::decision().describe()));
     json.push_str(&format!(
         "  \"tiers\": [{}],\n",
-        tiers.iter().map(|&t| format!("\"{}\"", tier_label(t))).collect::<Vec<_>>().join(",")
+        tiers.iter().map(|&t| format!("\"{}\"", t.name())).collect::<Vec<_>>().join(",")
     ));
     json.push_str("  \"unit\": \"ns_per_op\",\n");
     json.push_str(&format!("  \"speedups\": {{{speedups}}},\n"));

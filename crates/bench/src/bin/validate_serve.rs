@@ -27,7 +27,11 @@
 //!    `Connection: close` and the socket actually closes, and an
 //!    HTTP/1.0 request defaults to close. A pipelined burst of cache
 //!    hits whose responses total more than the reactor's 1 MiB
-//!    backpressure bound is answered in full, with no 408.
+//!    backpressure bound is answered in full, with no 408;
+//! 7. smuggling-shaped framing — a repeated or signed `Content-Length`,
+//!    whitespace before a header colon, an obs-fold line, a bare LF —
+//!    is answered with exactly one 400 and `Connection: close`, and the
+//!    socket closes; the request hidden behind it is never answered.
 //!
 //! Exit code 0 on success; 1 with a diagnostic on the first failure.
 
@@ -125,6 +129,7 @@ fn run(addr: SocketAddr) -> Result<(), String> {
         }
     }
     println!("error paths: ok (400/400/404)");
+    hostile_framing(addr)?;
 
     // 5. Metrics exposition.
     let metrics = httpc::get(addr, "/metrics", TIMEOUT)?;
@@ -281,7 +286,7 @@ fn expect_close_checks(addr: SocketAddr) -> Result<(), String> {
     s.write_all(b"GET /healthz HTTP/1.1\r\nHost: v\r\n\r\n").map_err(|e| e.to_string())?;
     let mut raw = String::new();
     s.read_to_string(&mut raw).map_err(|e| format!("socket left open after close: {e}"))?;
-    expect_close_header(&raw, "HTTP/1.1 without keep-alive")?;
+    expect_close_header(&raw, "200", "HTTP/1.1 without keep-alive")?;
 
     // HTTP/1.0 defaults to close even when nothing is specified.
     let mut s = std::net::TcpStream::connect(addr).map_err(|e| e.to_string())?;
@@ -289,13 +294,45 @@ fn expect_close_checks(addr: SocketAddr) -> Result<(), String> {
     s.write_all(b"GET /healthz HTTP/1.0\r\nHost: v\r\n\r\n").map_err(|e| e.to_string())?;
     let mut raw = String::new();
     s.read_to_string(&mut raw).map_err(|e| format!("socket left open after close: {e}"))?;
-    expect_close_header(&raw, "HTTP/1.0")?;
+    expect_close_header(&raw, "200", "HTTP/1.0")?;
     println!("connection header: ok (close honoured on 1.1-no-token and 1.0)");
     Ok(())
 }
 
-fn expect_close_header(raw: &str, what: &str) -> Result<(), String> {
-    if !raw.starts_with("HTTP/1.1 200") {
+/// Both net modes: header framing that two HTTP parsers could read two
+/// ways (RFC 9112 §5.1, §6.3) gets one 400 and a close. Each probe is a
+/// keep-alive `GET /healthz` (a lenient parser answers it 200) followed
+/// by a second request that must never be answered.
+fn hostile_framing(addr: SocketAddr) -> Result<(), String> {
+    use std::io::{Read, Write};
+    const HIDDEN: &str = "GET /healthz HTTP/1.1\r\nHost: v\r\n\r\n";
+    let n = HIDDEN.len();
+    let cases = [
+        ("repeated content-length", format!("Content-Length: 0\r\nContent-Length: {n}")),
+        ("signed content-length", format!("Content-Length: +{n}")),
+        ("space before colon", format!("Content-Length : {n}")),
+        ("obs-fold", " x-folded: 1".to_string()),
+        ("bare LF", format!("X-A: a\nContent-Length: {n}")),
+    ];
+    for (what, bad) in cases {
+        let mut s = std::net::TcpStream::connect(addr).map_err(|e| e.to_string())?;
+        s.set_read_timeout(Some(TIMEOUT)).map_err(|e| e.to_string())?;
+        let head = "GET /healthz HTTP/1.1\r\nHost: v\r\nConnection: keep-alive";
+        s.write_all(format!("{head}\r\n{bad}\r\n\r\n{HIDDEN}").as_bytes())
+            .map_err(|e| e.to_string())?;
+        let mut raw = String::new();
+        s.read_to_string(&mut raw).map_err(|e| format!("{what}: socket left open: {e}"))?;
+        expect_close_header(&raw, "400", what)?;
+        if raw.matches("HTTP/1.1 ").count() != 1 {
+            return Err(format!("{what}: the hidden request was answered: {raw:?}"));
+        }
+    }
+    println!("hostile framing: ok (5 shapes answered 400 and closed)");
+    Ok(())
+}
+
+fn expect_close_header(raw: &str, status: &str, what: &str) -> Result<(), String> {
+    if !raw.starts_with(&format!("HTTP/1.1 {status}")) {
         let line = raw.lines().next().unwrap_or("");
         return Err(format!("{what}: status line {line:?}"));
     }

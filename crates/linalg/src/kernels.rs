@@ -35,7 +35,7 @@
 //!   exponentiation runs the vectorized `exp`; both are **byte-identical**
 //!   to the scalar tier (column-wise vectorization keeps per-element
 //!   ascending-`k` order; reductions share a fixed 8-lane structure; FMA
-//!   is excluded). `OBSERVATORY_SIMD=off|sse2|avx2` overrides detection.
+//!   is excluded). `OBSERVATORY_SIMD=off|avx2` overrides detection.
 //! - **Workspace-pooled, serial** ([`crate::workspace`]): every kernel
 //!   runs on the calling thread and writes into per-thread pooled
 //!   scratch instead of fresh `Vec`s, so a steady-state encode performs
@@ -111,26 +111,22 @@ fn softmax_fast_scaled(xs: &mut [f64]) -> f64 {
         return 1.0;
     };
     // Exponentiation and summation fused in one tier-dispatched pass,
-    // eight lanes wide (the fixed reduction structure shared by scalar,
-    // SSE2 and AVX2 — see `crate::simd`). All tiers are byte-identical;
+    // eight lanes wide (the fixed reduction structure shared by scalar
+    // and AVX2 — see `crate::simd`). Both tiers are byte-identical;
     // vs a left-fold sum the fixed lane split differs only within the
     // documented fastmath rounding budget.
     1.0 / exp_sum_inplace(xs, max)
 }
 
 /// Tier-dispatched `xs[i] ← exp(xs[i] − max)` returning the sum in the
-/// fixed 8-lane order. Every tier produces identical bits.
+/// fixed 8-lane order. Both tiers produce identical bits.
 #[inline]
 fn exp_sum_inplace(xs: &mut [f64], max: f64) -> f64 {
     #[cfg(target_arch = "x86_64")]
-    {
-        match simd::tier() {
-            // SAFETY: `simd::tier()` never exceeds the detected CPU
-            // capability, so the required instructions exist.
-            simd::Tier::Avx2 => return unsafe { simd::x86::exp_sum_avx2(xs, max) },
-            simd::Tier::Sse2 => return unsafe { simd::x86::exp_sum_sse2(xs, max) },
-            simd::Tier::Scalar => {}
-        }
+    if simd::tier() == simd::Tier::Avx2 {
+        // SAFETY: `simd::tier()` never exceeds the detected CPU
+        // capability, so the required instructions exist.
+        return unsafe { simd::x86::exp_sum_avx2(xs, max) };
     }
     simd::exp_sum_scalar(xs, max)
 }
@@ -180,8 +176,8 @@ fn axpy(out: &mut [f64], a: f64, b: &[f64]) {
     }
 }
 
-/// Register-tiled GEMM: `C[r][j] (+)= Σ_k A[r][k] · B[k][j]` — assign
-/// when `ACCUM == false`, accumulate when `true`.
+/// Register-tiled GEMM: `C[r][j] = Σ_k A[r][k] · B[k][j]`. Every output
+/// element of the `rows × m` block is assigned; nothing is read from `c`.
 ///
 /// `a` is `rows × kd` with row stride `lda`, `b` is `kd × m` flat
 /// row-major, `c` has row stride `ldc` (≥ `m`). The 4×4 micro-tile keeps
@@ -201,7 +197,7 @@ fn axpy(out: &mut [f64], a: f64, b: &[f64]) {
 /// bit-identical to the naive path (up to the sign of zero) and
 /// independent of tile traversal order.
 #[allow(clippy::too_many_arguments)]
-fn gemm<const ACCUM: bool>(
+fn gemm(
     c: &mut [f64],
     ldc: usize,
     a: &[f64],
@@ -223,7 +219,7 @@ fn gemm<const ACCUM: bool>(
     if simd::tier() == simd::Tier::Avx2 {
         while j0 + 8 <= m {
             // SAFETY: the tier is clamped to detected CPU capability.
-            unsafe { simd::x86::gemm_strip8_avx2::<ACCUM>(c, ldc, a, lda, b, rows, kd, m, j0) };
+            unsafe { simd::x86::gemm_strip8_avx2(c, ldc, a, lda, b, rows, kd, m, j0) };
             j0 += 8;
         }
     }
@@ -262,33 +258,10 @@ fn gemm<const ACCUM: bool>(
                 s32 += x3 * b2;
                 s33 += x3 * b3;
             }
-            let store = |c: &mut [f64], idx: usize, s: f64| {
-                if ACCUM {
-                    c[idx] += s;
-                } else {
-                    c[idx] = s;
-                }
-            };
-            let c0 = r0 * ldc + j0;
-            store(c, c0, s00);
-            store(c, c0 + 1, s01);
-            store(c, c0 + 2, s02);
-            store(c, c0 + 3, s03);
-            let c1 = (r0 + 1) * ldc + j0;
-            store(c, c1, s10);
-            store(c, c1 + 1, s11);
-            store(c, c1 + 2, s12);
-            store(c, c1 + 3, s13);
-            let c2 = (r0 + 2) * ldc + j0;
-            store(c, c2, s20);
-            store(c, c2 + 1, s21);
-            store(c, c2 + 2, s22);
-            store(c, c2 + 3, s23);
-            let c3 = (r0 + 3) * ldc + j0;
-            store(c, c3, s30);
-            store(c, c3 + 1, s31);
-            store(c, c3 + 2, s32);
-            store(c, c3 + 3, s33);
+            c[r0 * ldc + j0..][..4].copy_from_slice(&[s00, s01, s02, s03]);
+            c[(r0 + 1) * ldc + j0..][..4].copy_from_slice(&[s10, s11, s12, s13]);
+            c[(r0 + 2) * ldc + j0..][..4].copy_from_slice(&[s20, s21, s22, s23]);
+            c[(r0 + 3) * ldc + j0..][..4].copy_from_slice(&[s30, s31, s32, s33]);
             r0 += 4;
         }
         j0 += 4;
@@ -309,17 +282,10 @@ fn gemm<const ACCUM: bool>(
                 s2 += a2[k] * bv;
                 s3 += a3[k] * bv;
             }
-            let store = |c: &mut [f64], idx: usize, s: f64| {
-                if ACCUM {
-                    c[idx] += s;
-                } else {
-                    c[idx] = s;
-                }
-            };
-            store(c, r0 * ldc + j, s0);
-            store(c, (r0 + 1) * ldc + j, s1);
-            store(c, (r0 + 2) * ldc + j, s2);
-            store(c, (r0 + 3) * ldc + j, s3);
+            c[r0 * ldc + j] = s0;
+            c[(r0 + 1) * ldc + j] = s1;
+            c[(r0 + 2) * ldc + j] = s2;
+            c[(r0 + 3) * ldc + j] = s3;
         }
         r0 += 4;
     }
@@ -327,9 +293,7 @@ fn gemm<const ACCUM: bool>(
     for r in r0..rows {
         let ar = &a[r * lda..][..kd];
         let cr = &mut c[r * ldc..r * ldc + m];
-        if !ACCUM {
-            cr.fill(0.0);
-        }
+        cr.fill(0.0);
         for (k, &av) in ar.iter().enumerate() {
             axpy(cr, av, &b[k * m..(k + 1) * m]);
         }
@@ -373,7 +337,7 @@ fn matmul_fused(a: &Matrix, b: &Matrix, epilogue: &Epilogue<'_>) -> Matrix {
     let (Epilogue::Bias(bias) | Epilogue::BiasGelu(bias)) = epilogue;
     assert_eq!(bias.len(), m, "matmul: bias/out dimension mismatch");
     let mut data = workspace::take_f64(n * m);
-    gemm::<false>(&mut data, m, a.as_slice(), kdim, b.as_slice(), n, kdim, m);
+    gemm(&mut data, m, a.as_slice(), kdim, b.as_slice(), n, kdim, m);
     apply_epilogue(&mut data, m, epilogue);
     Matrix::from_vec(n, m, data)
 }
@@ -522,7 +486,7 @@ fn attention_rows(
         // wh[i][j] = Σ_d q[i][lo+d] · ktʰ[d][j] — the same ascending-d
         // order as the scalar dot.
         let kt_panel = &kt[lo * n..(lo + head_dim) * n];
-        gemm::<false>(wh, n, &q_flat[lo..], dim, kt_panel, n, head_dim, n);
+        gemm(wh, n, &q_flat[lo..], dim, kt_panel, n, head_dim, n);
         // Bias, mask, softmax — per query row (the logit scale is
         // already folded into the pre-scaled Q panel).
         for i in 0..n {
@@ -572,7 +536,7 @@ fn attention_rows(
         // out[i][lo+d] = Σ_j wh[i][j] · vhʰ[j][d] (ascending j; each
         // head writes a disjoint column range of `out`).
         let vh_panel = &vh[h * n * head_dim..(h + 1) * n * head_dim];
-        gemm::<false>(&mut out[lo..], dim, wh, n, vh_panel, n, n, head_dim);
+        gemm(&mut out[lo..], dim, wh, n, vh_panel, n, n, head_dim);
     }
 }
 

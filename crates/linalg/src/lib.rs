@@ -27,10 +27,10 @@
 //!   MCV estimator that, unlike Albert–Zhang's, requires `Σ⁻¹`).
 //! - [`rng`]: a tiny deterministic `SplitMix64` generator plus Box–Muller
 //!   normal sampling, used for reproducible weight initialization.
-//! - [`simd`]: runtime CPU-feature dispatch (scalar / SSE2 / AVX2 tiers,
-//!   `OBSERVATORY_SIMD` override, decided once per process) and the
-//!   fixed-order vector backends every tier shares — all tiers are
-//!   **byte-identical**, only throughput differs.
+//! - [`simd`]: runtime CPU-feature dispatch (scalar reference and one
+//!   AVX2 fast tier, `OBSERVATORY_SIMD` override, decided once per
+//!   process) and the fixed-order vector backends both tiers share —
+//!   the tiers are **byte-identical**, only throughput differs.
 //! - [`reduce`]: tier-dispatched dot / squared-norm / cosine reductions in
 //!   the fixed 8-lane accumulation order (adopted by search, stats and the
 //!   serving kNN path).

@@ -9,8 +9,8 @@
 //! accept tier-dependent bits, this module fixes the accumulation
 //! structure once — eight striped partial sums combined by the balanced
 //! tree `((l0+l1)+(l2+l3)) + ((l4+l5)+(l6+l7))`, then a sequential
-//! scalar tail — and implements **that** structure in scalar, SSE2 and
-//! AVX2 code. All tiers produce byte-identical results; the active tier
+//! scalar tail — and implements **that** structure in scalar and AVX2
+//! code. Both tiers produce byte-identical results; the active tier
 //! only changes throughput. See DESIGN.md §11.
 //!
 //! FMA is deliberately excluded: `vfmadd` contracts `a*b + c` into one
@@ -41,14 +41,9 @@ pub fn dot(a: &[f64], b: &[f64]) -> f64 {
 pub fn dot_with_tier(a: &[f64], b: &[f64], tier: Tier) -> f64 {
     assert_eq!(a.len(), b.len(), "reduce::dot: length mismatch {} vs {}", a.len(), b.len());
     #[cfg(target_arch = "x86_64")]
-    {
-        let tier = tier.min(simd::detect());
-        match tier {
-            // SAFETY: tier is clamped to the detected CPU features.
-            Tier::Avx2 => return unsafe { simd::x86::dot_avx2(a, b) },
-            Tier::Sse2 => return unsafe { simd::x86::dot_sse2(a, b) },
-            Tier::Scalar => {}
-        }
+    if tier.min(simd::detect()) == Tier::Avx2 {
+        // SAFETY: tier is clamped to the detected CPU features.
+        return unsafe { simd::x86::dot_avx2(a, b) };
     }
     let _ = tier;
     simd::dot_scalar(a, b)
@@ -64,14 +59,9 @@ pub fn sq_norm(a: &[f64]) -> f64 {
 #[inline]
 pub fn sq_norm_with_tier(a: &[f64], tier: Tier) -> f64 {
     #[cfg(target_arch = "x86_64")]
-    {
-        let tier = tier.min(simd::detect());
-        match tier {
-            // SAFETY: tier is clamped to the detected CPU features.
-            Tier::Avx2 => return unsafe { simd::x86::sq_norm_avx2(a) },
-            Tier::Sse2 => return unsafe { simd::x86::sq_norm_sse2(a) },
-            Tier::Scalar => {}
-        }
+    if tier.min(simd::detect()) == Tier::Avx2 {
+        // SAFETY: tier is clamped to the detected CPU features.
+        return unsafe { simd::x86::sq_norm_avx2(a) };
     }
     let _ = tier;
     simd::sq_norm_scalar(a)

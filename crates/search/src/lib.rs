@@ -14,18 +14,17 @@
 //! - [`minhash`]: MinHash sketches with Jaccard/containment estimation
 //!   (the constant-space overlap estimates of the JOSIE / LSH Ensemble
 //!   line the paper builds on).
-//! - [`lsh`]: random-hyperplane LSH for approximate cosine search — the
-//!   sublinear regime the paper's LSH-Ensemble citations target.
 //! - [`quant`]: int8 scalar quantization of stored vectors (8× smaller
 //!   scan payload, exact integer dot products) feeding the graph walk.
 //! - [`ann`]: sharded HNSW graphs over quantized vectors with exact f64
 //!   re-ranking, behind the [`ann::AnnIndex`] trait that the flat
-//!   [`KnnIndex`] also implements (the recall-1 oracle).
+//!   [`KnnIndex`] also implements (the recall-1 oracle). HNSW is the
+//!   workspace's one approximate index — the sublinear regime the
+//!   paper's LSH-Ensemble citations target.
 
 pub mod ann;
 pub mod join;
 pub mod knn;
-pub mod lsh;
 pub mod minhash;
 pub mod overlap;
 pub mod quant;

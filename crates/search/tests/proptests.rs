@@ -2,7 +2,6 @@
 
 use observatory_search::ann::{AnnIndex, HnswConfig, HnswIndex, SearchParams, ShardedHnsw};
 use observatory_search::knn::{neighbor_overlap, KnnIndex};
-use observatory_search::lsh::LshIndex;
 use observatory_search::overlap::{containment, jaccard, multiset_jaccard};
 use observatory_table::{Column, Value};
 use proptest::prelude::*;
@@ -97,23 +96,6 @@ proptest! {
             prop_assert!(w[0].score + 1e-12 >= w[1].score);
         }
         prop_assert!(hits.iter().all(|h| (-1.0 - 1e-9..=1.0 + 1e-9).contains(&h.score)));
-    }
-
-    /// LSH hits are a subset of the index and scored like the exact index.
-    #[test]
-    fn lsh_hits_are_genuine(vs in vectors(8)) {
-        let mut exact = KnnIndex::new(8);
-        let mut lsh = LshIndex::new(8, 4, 6, 3);
-        for (i, v) in vs.iter().enumerate() {
-            exact.insert(format!("v{i}"), v);
-            lsh.insert(format!("v{i}"), v);
-        }
-        let hits = lsh.query(&vs[0], 5, None);
-        let exact_all = exact.query(&vs[0], vs.len(), None);
-        for h in &hits {
-            let matching = exact_all.iter().find(|e| e.key == h.key).expect("key exists");
-            prop_assert!((matching.score - h.score).abs() < 1e-9);
-        }
     }
 
     /// Neighbour overlap is bounded, reflexive, and symmetric — even

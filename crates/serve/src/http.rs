@@ -192,6 +192,13 @@ impl RequestParser {
                 return Err(HttpError::Malformed("header block is not UTF-8".to_string()));
             }
         };
+        // Lines end in CRLF only: a bare CR or LF (or a NUL) left inside a
+        // line is a break a lenient peer would see and this parser would
+        // not (RFC 9112 §2.2, RFC 9110 §5.5).
+        if head.split("\r\n").any(|l| l.contains(['\r', '\n', '\0'])) {
+            self.dead = true;
+            return Err(HttpError::Malformed("bare CR, LF or NUL in header block".to_string()));
+        }
         let mut lines = head.split("\r\n");
         let request_line = lines.next().unwrap_or("");
         let mut parts = request_line.split_whitespace();
@@ -205,11 +212,18 @@ impl RequestParser {
         let minor = if version == "HTTP/1.0" { 0 } else { 1 };
         let mut headers = Vec::new();
         for line in lines {
-            let Some((name, value)) = line.split_once(':') else {
+            // A field name is a token: whitespace before the colon, or a
+            // line opening with whitespace (obs-fold), is rejected rather
+            // than trimmed (RFC 9112 §5.1–5.2), since a proxy that reads
+            // the name differently would frame the stream differently.
+            let Some((name, value)) = line
+                .split_once(':')
+                .filter(|(n, _)| !n.contains(|c: char| c.is_ascii_whitespace()))
+            else {
                 self.dead = true;
                 return Err(HttpError::Malformed(format!("bad header '{line}'")));
             };
-            headers.push((name.trim().to_ascii_lowercase(), value.trim().to_string()));
+            headers.push((name.to_ascii_lowercase(), value.trim().to_string()));
         }
         // Bodies are Content-Length-delimited only. A Transfer-Encoding
         // body (chunked or otherwise) would be misread as zero-length
@@ -222,15 +236,25 @@ impl RequestParser {
                 "transfer-encoding is not supported; use content-length".to_string(),
             ));
         }
-        let content_length = match headers.iter().find(|(k, _)| k == "content-length") {
-            None => 0usize,
-            Some((_, v)) => match v.parse::<usize>() {
-                Ok(n) => n,
-                Err(_) => {
-                    self.dead = true;
-                    return Err(HttpError::Malformed(format!("bad content-length '{v}'")));
-                }
-            },
+        // Exactly one `Content-Length` of `1*DIGIT` (RFC 9112 §6.3): a
+        // second one, or a sign that `usize::from_str` would accept, is
+        // a framing disagreement waiting to happen, so the stream dies.
+        let mut lengths = headers.iter().filter(|(k, _)| k == "content-length").map(|(_, v)| v);
+        let content_length = match (lengths.next(), lengths.next()) {
+            (None, _) => Ok(0),
+            (Some(_), Some(_)) => Err("repeated content-length".to_string()),
+            (Some(v), None) => v
+                .parse::<usize>()
+                .ok()
+                .filter(|_| v.bytes().all(|b| b.is_ascii_digit()))
+                .ok_or_else(|| format!("bad content-length '{v}'")),
+        };
+        let content_length = match content_length {
+            Ok(n) => n,
+            Err(m) => {
+                self.dead = true;
+                return Err(HttpError::Malformed(m));
+            }
         };
         if content_length > MAX_BODY_BYTES {
             self.dead = true;
@@ -398,6 +422,20 @@ mod tests {
             parse("POST / HTTP/1.1\r\nContent-Length: abc\r\n\r\n").unwrap_err(),
             HttpError::Malformed(_)
         ));
+        // Smuggling-shaped framing: a second Content-Length, a signed
+        // value, whitespace before the colon, an obs-fold line, and bare
+        // LF / CR inside the head.
+        for raw in [
+            "GET / HTTP/1.1\r\nX-A: a\nContent-Length: 3\r\n\r\nabc",
+            "GET / HTTP/1.1\nContent-Length: 3\r\n\r\nabc",
+            "GET / HTTP/1.1\r\nX-A: a\rb\r\n\r\n",
+            "POST / HTTP/1.1\r\nContent-Length: 0\r\nContent-Length: 4\r\n\r\nGET /",
+            "POST / HTTP/1.1\r\nContent-Length: +3\r\n\r\nabc",
+            "POST / HTTP/1.1\r\nContent-Length : 3\r\n\r\nabc",
+            "GET / HTTP/1.1\r\nHost: a\r\n x-folded: b\r\n\r\n",
+        ] {
+            assert!(matches!(parse(raw).unwrap_err(), HttpError::Malformed(_)), "{raw:?}");
+        }
     }
 
     #[test]

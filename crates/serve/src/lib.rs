@@ -570,14 +570,36 @@ fn drain_tail(
 /// Longest accepted `x-request-id` value, in bytes.
 pub const MAX_REQUEST_ID_BYTES: usize = 128;
 
-/// Whether a client-supplied request id is acceptable: non-empty, at
-/// most [`MAX_REQUEST_ID_BYTES`], charset `[A-Za-z0-9._-]`. The charset
-/// keeps ids safe to echo in headers, log lines, and JSON without
-/// escaping.
-fn valid_request_id(v: &str) -> bool {
-    !v.is_empty()
-        && v.len() <= MAX_REQUEST_ID_BYTES
-        && v.bytes().all(|b| b.is_ascii_alphanumeric() || matches!(b, b'.' | b'_' | b'-'))
+/// Request identity, shared by both net modes: the client's
+/// `x-request-id`, or `obs-{id}` when there is none. A client id must be
+/// non-empty, at most [`MAX_REQUEST_ID_BYTES`], charset `[A-Za-z0-9._-]`
+/// (safe to echo in headers, log lines, and JSON without escaping);
+/// otherwise `Err` holds the message of the 400 answer.
+fn request_id(req: &Request, id: u64) -> Result<Arc<str>, String> {
+    let Some(v) = req.header("x-request-id") else {
+        return Ok(Arc::from(format!("obs-{id}")));
+    };
+    if v.len() > MAX_REQUEST_ID_BYTES {
+        Err(format!("x-request-id exceeds {MAX_REQUEST_ID_BYTES} bytes"))
+    } else if v.is_empty()
+        || !v.bytes().all(|b| b.is_ascii_alphanumeric() || matches!(b, b'.' | b'_' | b'-'))
+    {
+        Err("x-request-id must be non-empty [A-Za-z0-9._-]".to_string())
+    } else {
+        Ok(Arc::from(v))
+    }
+}
+
+/// Status and message answering a request the parser rejected, shared
+/// by both net modes (each then closes: framing is lost).
+fn parse_error_reply(e: HttpError) -> (u16, String) {
+    match e {
+        HttpError::HeadersTooLarge => (431, "request header block exceeds limits".to_string()),
+        HttpError::TooLarge => (413, "request exceeds size limits".to_string()),
+        HttpError::Malformed(m) => (400, m),
+        HttpError::Io(m) => (400, format!("read failed: {m}")),
+        HttpError::Closed => (400, "connection closed".to_string()),
+    }
 }
 
 /// Per-connection deadline override: `x-deadline-ms`, capped at 5 min.
@@ -637,15 +659,7 @@ fn handle_conn(stream: TcpStream, shared: &Shared) {
         Ok(r) => r,
         Err(HttpError::Closed) => return,
         Err(e) => {
-            let (status, msg) = match e {
-                HttpError::HeadersTooLarge => {
-                    (431, "request header block exceeds limits".to_string())
-                }
-                HttpError::TooLarge => (413, "request exceeds size limits".to_string()),
-                HttpError::Malformed(m) => (400, m),
-                HttpError::Io(m) => (400, format!("read failed: {m}")),
-                HttpError::Closed => unreachable!(),
-            };
+            let (status, msg) = parse_error_reply(e);
             let body = api::error_body(&msg);
             let _ = write_response(&mut stream, status, "application/json", &[], body.as_bytes());
             shared.metrics.record_request("malformed", status, start.elapsed());
@@ -653,21 +667,14 @@ fn handle_conn(stream: TcpStream, shared: &Shared) {
         }
     };
     let id = shared.next_id.fetch_add(1, Ordering::Relaxed);
-    // Request identity: validate the client's x-request-id or mint one.
-    let rid: Arc<str> = match req.header("x-request-id") {
-        Some(v) if valid_request_id(v) => Arc::from(v),
-        Some(v) => {
-            let msg = if v.len() > MAX_REQUEST_ID_BYTES {
-                format!("x-request-id exceeds {MAX_REQUEST_ID_BYTES} bytes")
-            } else {
-                "x-request-id must be non-empty [A-Za-z0-9._-]".to_string()
-            };
+    let rid = match request_id(&req, id) {
+        Ok(rid) => rid,
+        Err(msg) => {
             let body = api::error_body(&msg);
             let _ = write_response(&mut stream, 400, "application/json", &[], body.as_bytes());
             shared.metrics.record_request("malformed", 400, start.elapsed());
             return;
         }
-        None => Arc::from(format!("obs-{id}")),
     };
     let mut span = obs::span(obs::Level::Info, "serve", "request")
         .with("request", id)

@@ -51,11 +51,11 @@
 use crate::epoll::{
     pin_to_core, Epoll, EpollEvent, WakeFd, EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLOUT, EPOLLRDHUP,
 };
-use crate::http::{render_response, HttpError, Request, RequestParser};
+use crate::http::{render_response, Request, RequestParser};
 use crate::queue::{Mailbox, ReplyTo};
 use crate::{
-    embed_reply_outcome, log_slow, route_async, valid_request_id, Outcome, Routed, Shared,
-    MAX_REQUEST_ID_BYTES,
+    embed_reply_outcome, log_slow, parse_error_reply, request_id, route_async, Outcome, Routed,
+    Shared,
 };
 use observatory_obs as obs;
 use observatory_obs::flight;
@@ -670,15 +670,7 @@ fn process_requests(conn: &mut Conn, shared: &Shared, mailbox: &Arc<Mailbox>, to
             }
             Ok(None) => break,
             Err(e) => {
-                let (status, msg) = match e {
-                    HttpError::HeadersTooLarge => {
-                        (431, "request header block exceeds limits".to_string())
-                    }
-                    HttpError::TooLarge => (413, "request exceeds size limits".to_string()),
-                    HttpError::Malformed(m) => (400, m),
-                    HttpError::Io(m) => (400, format!("read failed: {m}")),
-                    HttpError::Closed => (400, "connection closed".to_string()),
-                };
+                let (status, msg) = parse_error_reply(e);
                 let req_start = conn.request_started.take().unwrap_or_else(Instant::now);
                 let outcome = Outcome::error("malformed", status, &msg);
                 // Framing is lost after a parse error: answer, then close.
@@ -709,20 +701,14 @@ fn handle_request(
     let now = Instant::now();
     let req_start = conn.request_started.take().unwrap_or(now);
     let id = shared.next_id.fetch_add(1, Ordering::Relaxed);
-    let rid: Arc<str> = match req.header("x-request-id") {
-        Some(v) if valid_request_id(v) => Arc::from(v),
-        Some(v) => {
-            let msg = if v.len() > MAX_REQUEST_ID_BYTES {
-                format!("x-request-id exceeds {MAX_REQUEST_ID_BYTES} bytes")
-            } else {
-                "x-request-id must be non-empty [A-Za-z0-9._-]".to_string()
-            };
+    let rid = match request_id(&req, id) {
+        Ok(rid) => rid,
+        Err(msg) => {
             let outcome = Outcome::error("malformed", 400, &msg);
             let keep = req.persist_connection();
             finish_response(conn, outcome, &format!("obs-{id}"), keep, req_start, shared);
             return;
         }
-        None => Arc::from(format!("obs-{id}")),
     };
     let keep_alive = req.persist_connection();
     let mut span = obs::span(obs::Level::Info, "serve", "request")

@@ -1,5 +1,5 @@
 //! A full data-lake pipeline over the substrates: generate a lake, embed
-//! columns (with partitioning for the large tables), index them with LSH,
+//! columns (with partitioning for the large tables), index them with HNSW,
 //! discover a join for a query column, *execute* the discovered join with
 //! the relational algebra, and sanity-check FDs of the result.
 //!
@@ -11,8 +11,8 @@ use observatory::data::spider::SpiderConfig;
 use observatory::fd::discovery::{discover_unary_fds, DiscoveryOptions};
 use observatory::models::partitioned::encode_partitioned;
 use observatory::models::registry::model_by_name;
-use observatory::search::lsh::LshIndex;
 use observatory::search::overlap::containment;
+use observatory::search::{AnnIndex, HnswConfig, HnswIndex, SearchParams};
 use observatory::table::algebra::{equijoin, group_count};
 use observatory::table::Table;
 
@@ -24,24 +24,24 @@ fn main() {
     // 2. Embed every column of every table. Tables beyond the token budget
     //    go through the partitioned path (paper §7's large-table handling).
     let model = model_by_name("t5").unwrap();
-    let mut index = LshIndex::new(model.dim(), 8, 10, 42);
+    let mut index = HnswIndex::new(model.dim(), HnswConfig::default());
     let mut col_refs: Vec<(usize, usize)> = Vec::new();
     for (ti, table) in lake.iter().enumerate() {
         let enc = encode_partitioned(model.as_ref(), table, 8);
         for j in 0..table.num_cols() {
             if let Some(e) = enc.column(j) {
-                index.insert(format!("{ti}:{j}"), &e);
+                index.insert(format!("{ti}:{j}"), &e, col_refs.len() as u64);
                 col_refs.push((ti, j));
             }
         }
     }
-    println!("indexed {} column embeddings (LSH, 8 tables × 10 bits)", index.len());
+    println!("indexed {} column embeddings (HNSW, default config)", index.len());
 
     // 3. Query: find join partners for geo_0.city across the lake.
     let (qt, qj) = (0usize, 0usize);
     let q_enc = encode_partitioned(model.as_ref(), &lake[qt], 8);
     let q_emb = q_enc.column(qj).expect("query column embeds");
-    let hits = index.query(&q_emb, 6, Some(&format!("{qt}:{qj}")));
+    let hits = index.search(&q_emb, 6, Some(&format!("{qt}:{qj}")), SearchParams::default());
     println!("\njoin candidates for {}.{}:", lake[qt].name, lake[qt].columns[qj].header);
     let mut best: Option<(usize, usize, f64)> = None;
     for h in &hits {

@@ -1,7 +1,8 @@
 //! SIMD-vs-scalar bitwise equivalence for the tier-dispatched kernels.
 //!
-//! The contract under test is the one DESIGN.md §11 promises: every SIMD
-//! tier (`scalar`, `sse2`, `avx2`) produces **byte-identical** results —
+//! The contract under test is the one DESIGN.md §11 promises: both SIMD
+//! tiers (`scalar` and, where the CPU has it, `avx2`) produce
+//! **byte-identical** results —
 //! not "close", identical — because the vector kernels preserve the
 //! scalar fallback's exact floating-point operation order (fixed 8-lane
 //! reduction structure, mul-then-add with no FMA contraction).
