@@ -19,23 +19,26 @@
 //!   while it is still cache-hot, in the same order as the unfused
 //!   reference (`Σ`, then `+bias`, then `gelu`).
 //! - **Fast transcendentals** ([`crate::fastmath`]): the kernel-internal
-//!   softmax and the fused GELU epilogue use branch-light polynomial
-//!   `exp`/`tanh` that inline and vectorize — profiling shows libm
-//!   `exp`/`tanh` are ~40% of scalar attention and ~35% of the scalar
-//!   feed-forward. This is the **only** numerical deviation from the
-//!   reference path and it is ULP-bounded and regression-tested
-//!   (≤ 1e-14 relative on `exp`, ≤ 1e-13 on GELU; see `fastmath`).
-//! - **Head-batched attention** ([`attention`]): per-head K/V panels are
-//!   repacked contiguously once per call (`Kᵀ` per head, so the Q·Kᵀ
-//!   logits accumulate over contiguous rows), and per-head bias/mask
-//!   matrices arrive **materialized** (no closure calls in the inner
-//!   loop).
+//!   softmax and the fused GELU epilogue use one branch-light polynomial
+//!   `exp` — profiling showed libm `exp`/`tanh` at ~40% of scalar
+//!   attention and ~35% of the scalar feed-forward. This is the **only**
+//!   numerical deviation from the reference path and it is ULP-bounded
+//!   and regression-tested (≤ 1e-14 relative on `exp`, ≤ 1e-13 on GELU;
+//!   see `fastmath`).
+//! - **Head-batched attention** ([`attention`], [`attention_context`]):
+//!   per-head K/V panels are repacked contiguously once per call (`Kᵀ`
+//!   per head, so the Q·Kᵀ logits accumulate over contiguous rows), and
+//!   per-head bias/mask matrices arrive **materialized** (no closure
+//!   calls in the inner loop). The head-summed weights are optional:
+//!   the encode path asks for none and skips their `n × n` pass.
 //! - **Runtime SIMD dispatch** ([`crate::simd`]): on an AVX2 CPU the
-//!   GEMM inner loop runs 8-column `__m256d` strips and the softmax
-//!   exponentiation runs the vectorized `exp`; both are **byte-identical**
-//!   to the scalar tier (column-wise vectorization keeps per-element
-//!   ascending-`k` order; reductions share a fixed 8-lane structure; FMA
-//!   is excluded). `OBSERVATORY_SIMD=off|avx2` overrides detection.
+//!   GEMM inner loop runs 8-column `__m256d` strips, the softmax runs a
+//!   vectorized max scan and `exp`, and the GELU epilogue runs a
+//!   vectorized `gelu_approx`; all are **byte-identical** to the scalar
+//!   tier (column-wise vectorization keeps per-element ascending-`k`
+//!   order; reductions share a fixed 8-lane structure; element-wise
+//!   maps keep the scalar operation order; FMA is excluded).
+//!   `OBSERVATORY_SIMD=off|avx2` overrides detection.
 //! - **Workspace-pooled, serial** ([`crate::workspace`]): every kernel
 //!   runs on the calling thread and writes into per-thread pooled
 //!   scratch instead of fresh `Vec`s, so a steady-state encode performs
@@ -131,6 +134,21 @@ fn exp_sum_inplace(xs: &mut [f64], max: f64) -> f64 {
     simd::exp_sum_scalar(xs, max)
 }
 
+/// Tier-dispatched NaN-skipping max and NaN flag of `xs`. The tiers
+/// fold in different orders, which can only flip the sign of a `±0.0`
+/// max; every caller subtracts the max before `exp`, so no output bit
+/// depends on it.
+#[inline]
+fn max_nan_scan(xs: &[f64]) -> (f64, bool) {
+    #[cfg(target_arch = "x86_64")]
+    if simd::tier() == simd::Tier::Avx2 {
+        // SAFETY: `simd::tier()` never exceeds the detected CPU
+        // capability, so the required instructions exist.
+        return unsafe { simd::x86::max_nan_scan_avx2(xs) };
+    }
+    simd::max_nan_scan_scalar(xs)
+}
+
 /// [`softmax_fast_scaled`] with the normalization applied — the form the
 /// equivalence suites exercise directly (`tests/simd_equivalence.rs`
 /// asserts it bitwise across tiers). Same NaN/-∞ contract as
@@ -145,15 +163,7 @@ pub fn softmax_fast_inplace(xs: &mut [f64]) {
 /// Shared softmax prologue: saturate NaNs to `-∞`, return the finite max
 /// or — when there is none — write the uniform fallback and return None.
 fn saturate_nan_logits(xs: &mut [f64]) -> Option<f64> {
-    // Branchless scan: `f64::max` ignores a NaN operand, so the max is
-    // the same as an explicit NaN-skipping fold, and both reductions
-    // vectorize.
-    let mut max = f64::NEG_INFINITY;
-    let mut saw_nan = false;
-    for &x in xs.iter() {
-        saw_nan |= x.is_nan();
-        max = max.max(x);
-    }
+    let (max, saw_nan) = max_nan_scan(xs);
     if saw_nan {
         for x in xs.iter_mut() {
             if x.is_nan() {
@@ -318,6 +328,16 @@ fn apply_epilogue(buf: &mut [f64], m: usize, epilogue: &Epilogue<'_>) {
             }
         }
         Epilogue::BiasGelu(bias) => {
+            // The AVX2 epilogue transcribes `gelu_approx` lane-wise in the
+            // same operation order, so both tiers give identical bits.
+            #[cfg(target_arch = "x86_64")]
+            if simd::tier() == simd::Tier::Avx2 {
+                for row in buf.chunks_exact_mut(m) {
+                    // SAFETY: the tier is clamped to detected CPU capability.
+                    unsafe { simd::x86::bias_gelu_avx2(row, bias) };
+                }
+                return;
+            }
             for row in buf.chunks_exact_mut(m) {
                 for (o, &bv) in row.iter_mut().zip(*bias) {
                     *o = fastmath::gelu_approx(*o + bv);
@@ -392,7 +412,8 @@ pub struct AttentionSpec<'a> {
 /// in the blocked aggregation rather than being skipped). Returns the
 /// pre-output-projection context (`n × dim`) and the **head-summed**
 /// attention weights (`n × n`; divide by `n_heads` for the
-/// head-averaged map).
+/// head-averaged map). [`attention_context`] runs the same body without
+/// the weights and returns bit-identical context.
 ///
 /// Per call, `K` and `V` are repacked into per-head contiguous panels
 /// (`Kᵀ` per head for the logit GEMM, `V` per head for the value
@@ -410,6 +431,24 @@ pub struct AttentionSpec<'a> {
 /// # Panics
 /// Panics on shape mismatches between `q`/`k`/`v`/`spec`.
 pub fn attention(q: &Matrix, k: &Matrix, v: &Matrix, spec: &AttentionSpec<'_>) -> (Matrix, Matrix) {
+    let (out, weights) = attention_impl(q, k, v, spec, true);
+    (out, weights.expect("weights were requested"))
+}
+
+/// [`attention`] without the head-summed weights: the context alone,
+/// bit-identical to `attention(..).0`. The encode path asks for no
+/// attention map, so it skips the `n × n` zero-fill and accumulation.
+pub fn attention_context(q: &Matrix, k: &Matrix, v: &Matrix, spec: &AttentionSpec<'_>) -> Matrix {
+    attention_impl(q, k, v, spec, false).0
+}
+
+fn attention_impl(
+    q: &Matrix,
+    k: &Matrix,
+    v: &Matrix,
+    spec: &AttentionSpec<'_>,
+    want_weights: bool,
+) -> (Matrix, Option<Matrix>) {
     let t = std::time::Instant::now();
     let n = q.rows();
     let dim = q.cols();
@@ -452,10 +491,10 @@ pub fn attention(q: &Matrix, k: &Matrix, v: &Matrix, spec: &AttentionSpec<'_>) -
     }
 
     let mut out = workspace::take_f64(n * dim);
-    let mut weights = workspace::take_f64(n * n);
+    let mut weights = want_weights.then(|| workspace::take_f64(n * n));
     let mut wh = workspace::take_f64(n * n);
-    attention_rows(n, &qs, &kt, &vh, spec, &mut out, &mut weights, &mut wh);
-    let result = (Matrix::from_vec(n, dim, out), Matrix::from_vec(n, n, weights));
+    attention_rows(n, &qs, &kt, &vh, spec, &mut out, weights.as_deref_mut(), &mut wh);
+    let result = (Matrix::from_vec(n, dim, out), weights.map(|w| Matrix::from_vec(n, n, w)));
     workspace::give_f64(wh);
     workspace::give_f64(vh);
     workspace::give_f64(kt);
@@ -465,8 +504,9 @@ pub fn attention(q: &Matrix, k: &Matrix, v: &Matrix, spec: &AttentionSpec<'_>) -
 }
 
 /// The attention body over all `n` query rows: logits GEMM, bias/mask,
-/// softmax, head-summed weights, value aggregation. `out` is `n × dim`,
-/// `weights` (zero-initialized) and `wh` (scratch) are `n × n`.
+/// softmax, head-summed weights (when `weights` is given), value
+/// aggregation. `out` is `n × dim`, `weights` (zero-initialized) and
+/// `wh` (scratch) are `n × n`.
 #[allow(clippy::too_many_arguments)]
 fn attention_rows(
     n: usize,
@@ -475,7 +515,7 @@ fn attention_rows(
     vh: &[f64],
     spec: &AttentionSpec<'_>,
     out: &mut [f64],
-    weights: &mut [f64],
+    mut weights: Option<&mut [f64]>,
     wh: &mut [f64],
 ) {
     let (n_heads, head_dim) = (spec.n_heads, spec.head_dim);
@@ -524,12 +564,18 @@ fn attention_rows(
             };
             // One fused pass while the row is cache-hot: apply the
             // deferred softmax normalization and accumulate the
-            // head-summed weights (ascending-h order).
-            let w_acc = &mut weights[i * n..(i + 1) * n];
-            for (wa, x) in w_acc.iter_mut().zip(lrow.iter_mut()) {
-                let wv = *x * inv;
-                *x = wv;
-                *wa += wv;
+            // head-summed weights (ascending-h order). Without weights
+            // the row is normalized by the same multiply.
+            match weights.as_deref_mut() {
+                Some(weights) => {
+                    let w_acc = &mut weights[i * n..(i + 1) * n];
+                    for (wa, x) in w_acc.iter_mut().zip(lrow.iter_mut()) {
+                        let wv = *x * inv;
+                        *x = wv;
+                        *wa += wv;
+                    }
+                }
+                None => lrow.iter_mut().for_each(|x| *x *= inv),
             }
         }
         // Value aggregation, register-tiled:
@@ -827,6 +873,12 @@ mod tests {
         let (ro, rw) = reference::attention(&q, &k, &v, &spec);
         let (o, w) = attention(&q, &k, &v, &spec);
         let tag = format!("attention n={n} h={n_heads} bias={with_bias} mask={with_mask}");
+        // Skipping the weights must not move a single bit of the context.
+        let ctx = attention_context(&q, &k, &v, &spec);
+        assert!(
+            ctx.as_slice().iter().zip(o.as_slice()).all(|(a, b)| a.to_bits() == b.to_bits()),
+            "{tag}: attention_context differs from attention"
+        );
         // vs reference: the documented softmax ULP bound.
         assert_matrix_close(&o, &ro, 1e-12, &format!("{tag} out"));
         assert_matrix_close(&w, &rw, 1e-12, &format!("{tag} weights"));

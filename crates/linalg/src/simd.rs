@@ -295,6 +295,23 @@ pub(crate) fn exp_sum_scalar(xs: &mut [f64], max: f64) -> f64 {
     total
 }
 
+/// Scalar softmax prologue scan: the max over the non-NaN elements
+/// (`-∞` when there is none) and whether any element is NaN.
+/// `f64::max` ignores a NaN operand, so the fold skips NaNs. The AVX2
+/// twin folds in a different order; the max of non-NaN values does not
+/// depend on order, except that a `±0.0` maximum may come back with
+/// either sign, and every caller subtracts it (`x − (±0)` only differs
+/// at `x = ±0`, where `exp` gives `1` either way).
+pub(crate) fn max_nan_scan_scalar(xs: &[f64]) -> (f64, bool) {
+    let mut max = f64::NEG_INFINITY;
+    let mut saw_nan = false;
+    for &x in xs {
+        saw_nan |= x.is_nan();
+        max = max.max(x);
+    }
+    (max, saw_nan)
+}
+
 // ---------------------------------------------------------------------
 // x86-64 vector tiers
 // ---------------------------------------------------------------------
@@ -481,6 +498,69 @@ pub(crate) mod x86 {
         total
     }
 
+    /// AVX2 twin of [`super::max_nan_scan_scalar`]: two max
+    /// accumulators over 8-element chunks plus one unordered-compare
+    /// NaN flag, then a scalar tail. `maxpd` returns its *second*
+    /// operand when either is NaN, so `max(x, acc)` skips a NaN `x`
+    /// exactly like `acc.max(x)`.
+    #[target_feature(enable = "avx2")]
+    pub unsafe fn max_nan_scan_avx2(xs: &[f64]) -> (f64, bool) {
+        let chunks = xs.len() / 8;
+        let mut m0 = _mm256_set1_pd(f64::NEG_INFINITY);
+        let mut m1 = m0;
+        let mut nan = _mm256_setzero_pd();
+        for t in 0..chunks {
+            let p = xs.as_ptr().add(8 * t);
+            let x0 = _mm256_loadu_pd(p);
+            let x1 = _mm256_loadu_pd(p.add(4));
+            m0 = _mm256_max_pd(x0, m0);
+            m1 = _mm256_max_pd(x1, m1);
+            // Unordered is true when either operand is NaN.
+            nan = _mm256_or_pd(nan, _mm256_cmp_pd(x0, x1, _CMP_UNORD_Q));
+        }
+        let mut lanes = [0.0f64; 4];
+        _mm256_storeu_pd(lanes.as_mut_ptr(), _mm256_max_pd(m0, m1));
+        let mut max = lanes.iter().fold(f64::NEG_INFINITY, |m, &x| m.max(x));
+        let mut saw_nan = _mm256_movemask_pd(nan) != 0;
+        for &x in &xs[8 * chunks..] {
+            saw_nan |= x.is_nan();
+            max = max.max(x);
+        }
+        (max, saw_nan)
+    }
+
+    // ---------------- GELU epilogue ----------------
+
+    /// `row[i] ← gelu_approx(row[i] + bias[i])`, four lanes at a time: a
+    /// lane-wise transcription of [`crate::fastmath::gelu_approx`] in
+    /// the same operation order (no FMA), so every lane matches the
+    /// scalar tier bit for bit. The `len % 4` tail runs the scalar code.
+    #[target_feature(enable = "avx2")]
+    pub unsafe fn bias_gelu_avx2(row: &mut [f64], bias: &[f64]) {
+        debug_assert_eq!(row.len(), bias.len());
+        let quads = row.len() / 4;
+        let c = _mm256_set1_pd(crate::fastmath::GELU_C);
+        let k = _mm256_set1_pd(crate::fastmath::GELU_K);
+        let neg2 = _mm256_set1_pd(-2.0);
+        let sign = _mm256_set1_pd(-0.0);
+        let one = _mm256_set1_pd(1.0);
+        for q in 0..quads {
+            let p = row.as_mut_ptr().add(4 * q);
+            let x = _mm256_add_pd(_mm256_loadu_pd(p), _mm256_loadu_pd(bias.as_ptr().add(4 * q)));
+            // t = C · (x + ((K · x) · x) · x)
+            let cube = _mm256_mul_pd(_mm256_mul_pd(_mm256_mul_pd(k, x), x), x);
+            let t = _mm256_mul_pd(c, _mm256_add_pd(x, cube));
+            let e = exp4_avx2(_mm256_mul_pd(neg2, _mm256_andnot_pd(sign, t)));
+            // num = t ≥ 0 ? 1 : e — a NaN `t` compares false and takes
+            // `e`, like the scalar `if`.
+            let num = _mm256_blendv_pd(e, one, _mm256_cmp_pd(t, _mm256_setzero_pd(), _CMP_GE_OQ));
+            _mm256_storeu_pd(p, _mm256_div_pd(_mm256_mul_pd(x, num), _mm256_add_pd(one, e)));
+        }
+        for (o, &bv) in row[4 * quads..].iter_mut().zip(&bias[4 * quads..]) {
+            *o = crate::fastmath::gelu_approx(*o + bv);
+        }
+    }
+
     // ---------------- GEMM column strip ----------------
 
     /// AVX2 GEMM strip: full 4-row quads over the 8 output columns
@@ -647,6 +727,27 @@ mod tests {
                 sq_norm_scalar(&a).to_bits(),
                 "avx2 sq_norm len={len}"
             );
+        }
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn vector_max_scan_matches_scalar() {
+        if detect() < Tier::Avx2 {
+            return;
+        }
+        let mut rng = crate::rng::SplitMix64::new(5);
+        for len in 0..40usize {
+            let mut xs: Vec<f64> = (0..len).map(|_| rng.next_normal_with(0.0, 3.0)).collect();
+            for (i, special) in [(2, f64::NAN), (9, f64::INFINITY), (17, f64::NAN)] {
+                let want = max_nan_scan_scalar(&xs);
+                let got = unsafe { x86::max_nan_scan_avx2(&xs) };
+                assert_eq!(got.0.to_bits(), want.0.to_bits(), "max len={len}");
+                assert_eq!(got.1, want.1, "nan flag len={len}");
+                if i < len {
+                    xs[i] = special;
+                }
+            }
         }
     }
 

@@ -152,8 +152,7 @@ impl Encoder {
     /// input limits of the real models (paper §4.3).
     ///
     /// All intermediates run through the per-thread [`workspace`] pool
-    /// and the per-layer attention maps are recycled instead of
-    /// collected, so a steady-state call performs **zero heap
+    /// and no attention map is computed, so a steady-state call performs **zero heap
     /// allocations** after warmup (the returned matrix itself comes from
     /// the pool; callers on a hot path can hand it back with
     /// [`workspace::recycle_matrix`]).
@@ -175,8 +174,7 @@ impl Encoder {
     }
 
     /// Shared encode body. `maps` collects the per-layer attention maps
-    /// when present; when absent the maps (which the attention kernel
-    /// produces regardless) are recycled into the workspace pool.
+    /// when present; when absent the attention kernel computes none.
     fn encode_impl(&self, tokens: &[TokenInput], mut maps: Option<&mut Vec<Matrix>>) -> Matrix {
         assert!(!tokens.is_empty(), "encode: empty input");
         let tokens = &tokens[..tokens.len().min(self.config.max_len)];
@@ -218,11 +216,7 @@ impl Encoder {
         };
 
         for layer in &self.layers {
-            let weights = apply_layer(layer, &mut h, &extras, self.config.attention_gain);
-            match maps.as_deref_mut() {
-                Some(m) => m.push(weights),
-                None => workspace::recycle_matrix(weights),
-            }
+            apply_layer(layer, &mut h, &extras, self.config.attention_gain, maps.as_deref_mut());
         }
         if let Some(vert) = &self.vertical {
             // Vertical attention: a token may attend only tokens in the same
@@ -235,11 +229,7 @@ impl Encoder {
             let cols_ref = &cols[..];
             let mask = move |i: usize, j: usize| cols_ref[i] == cols_ref[j];
             let extras = AttentionBias { bias: None, mask: Some(&mask) };
-            let weights = apply_layer(vert, &mut h, &extras, self.config.attention_gain);
-            match maps {
-                Some(m) => m.push(weights),
-                None => workspace::recycle_matrix(weights),
-            }
+            apply_layer(vert, &mut h, &extras, self.config.attention_gain, maps);
             workspace::give_u32(cols);
         }
         h
@@ -251,14 +241,23 @@ impl Encoder {
 /// attention and feed-forward intermediates recycled into the workspace
 /// pool. `add_assign` performs the exact elementwise `a + b` the old
 /// allocating `Matrix::add` did, so outputs are bit-identical to the
-/// previous formulation.
+/// previous formulation. The layer's attention map is computed and
+/// pushed only when `maps` is given.
 fn apply_layer(
     layer: &EncoderLayer,
     h: &mut Matrix,
     extras: &AttentionBias<'_>,
     attention_gain: f64,
-) -> Matrix {
-    let (mut attn_out, weights) = layer.attn.forward_with_weights(h, extras);
+    maps: Option<&mut Vec<Matrix>>,
+) {
+    let mut attn_out = match maps {
+        Some(maps) => {
+            let (out, weights) = layer.attn.forward_with_weights(h, extras);
+            maps.push(weights);
+            out
+        }
+        None => layer.attn.forward(h, extras),
+    };
     if attention_gain != 1.0 {
         attn_out.scale_assign(attention_gain);
     }
@@ -269,7 +268,6 @@ fn apply_layer(
     h.add_assign(&ffn_out);
     workspace::recycle_matrix(ffn_out);
     layer.ln2.forward_inplace(h);
-    weights
 }
 
 fn add_into(dst: &mut [f64], src: &[f64]) {
@@ -482,10 +480,26 @@ mod attention_tests {
         }
     }
 
+    /// `encode` computes no attention maps; its output must keep every
+    /// bit of `encode_with_attention`'s on each attention shape: plain
+    /// (bert), a relative-position bias (t5) and a vertical mask (tabert).
     #[test]
     fn encode_and_encode_with_attention_agree() {
-        let e = Encoder::new(cfg(true));
-        let seq = toks(5);
-        assert_eq!(e.encode(&seq), e.encode_with_attention(&seq).0);
+        let relative =
+            TransformerConfig { positional: PositionalScheme::RelativeBias, ..cfg(false) };
+        for (label, config) in [("plain", cfg(false)), ("bias", relative), ("mask", cfg(true))] {
+            let e = Encoder::new(config);
+            for n in [1, 5, 13] {
+                let seq = toks(n);
+                let plain = e.encode(&seq);
+                let with_maps = e.encode_with_attention(&seq).0;
+                let same = plain
+                    .as_slice()
+                    .iter()
+                    .zip(with_maps.as_slice())
+                    .all(|(a, b)| a.to_bits() == b.to_bits());
+                assert!(same, "{label} n={n}: encode differs from encode_with_attention");
+            }
+        }
     }
 }

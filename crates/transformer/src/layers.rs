@@ -151,9 +151,11 @@ impl MultiHeadAttention {
         }
     }
 
-    /// Full self-attention over the rows of `x` (`n × dim`).
+    /// Full self-attention over the rows of `x` (`n × dim`). Computes no
+    /// attention weights; the output is bit-identical to
+    /// [`MultiHeadAttention::forward_with_weights`]'s.
     pub fn forward(&self, x: &Matrix, extras: &AttentionBias<'_>) -> Matrix {
-        self.forward_with_weights(x, extras).0
+        self.forward_impl(x, extras, false).0
     }
 
     /// Self-attention returning both the output and the attention weights
@@ -167,6 +169,16 @@ impl MultiHeadAttention {
     /// queries attend only themselves (see the kernel docs — the former
     /// uniform fallback leaked masked key content into the output).
     pub fn forward_with_weights(&self, x: &Matrix, extras: &AttentionBias<'_>) -> (Matrix, Matrix) {
+        let (out, weights) = self.forward_impl(x, extras, true);
+        (out, weights.expect("weights were requested"))
+    }
+
+    fn forward_impl(
+        &self,
+        x: &Matrix,
+        extras: &AttentionBias<'_>,
+        want_weights: bool,
+    ) -> (Matrix, Option<Matrix>) {
         let n = x.rows();
         let _span = obs::span(obs::Level::Trace, "kernels", "attention")
             .with("rows", n)
@@ -205,7 +217,12 @@ impl MultiHeadAttention {
             bias: bias_buf.as_deref(),
             mask: mask_buf.as_deref(),
         };
-        let (ctx, mut weights) = kernels::attention(&q, &k, &v, &spec);
+        let (ctx, weights) = if want_weights {
+            let (ctx, weights) = kernels::attention(&q, &k, &v, &spec);
+            (ctx, Some(weights))
+        } else {
+            (kernels::attention_context(&q, &k, &v, &spec), None)
+        };
         // The projected Q/K/V are dead once the kernel returns: hand
         // their capacity back to the pool for the next forward.
         workspace::recycle_matrix(q);
@@ -217,7 +234,10 @@ impl MultiHeadAttention {
         if let Some(buf) = mask_buf {
             workspace::give_bool(buf);
         }
-        weights.scale_assign(1.0 / self.n_heads as f64);
+        let weights = weights.map(|mut w| {
+            w.scale_assign(1.0 / self.n_heads as f64);
+            w
+        });
         let out = self.o.forward(&ctx);
         workspace::recycle_matrix(ctx);
         (out, weights)

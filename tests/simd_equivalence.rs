@@ -121,8 +121,10 @@ proptest! {
         }
     }
 
-    /// Softmax (fastmath exp pass): bitwise across tiers, rows covering
-    /// every vector tail, with NaN logits (saturated) and -inf included.
+    /// Softmax (max scan and fastmath exp pass): bitwise across tiers,
+    /// rows covering every vector tail, with NaN logits (saturated) and
+    /// -inf included; `softmax_edge_rows_bitwise_across_tiers` adds the
+    /// fixed edge rows.
     #[test]
     fn softmax_bitwise_across_tiers(
         seed in any::<u64>(),
@@ -132,48 +134,130 @@ proptest! {
         let _g = lock();
         let mut rng = SplitMix64::new(seed);
         let base = fill(&mut rng, len, special_every);
-        simd::force_tier(Some(Tier::Scalar));
-        let mut want = base.clone();
-        kernels::softmax_fast_inplace(&mut want);
-        for tier in simd::available_tiers() {
-            simd::force_tier(Some(tier));
-            let mut got = base.clone();
-            kernels::softmax_fast_inplace(&mut got);
-            simd::force_tier(None);
-            for (i, (g, w)) in got.iter().zip(&want).enumerate() {
-                assert!(
-                    g.to_bits() == w.to_bits(),
-                    "softmax len={len} tier={tier:?} element {i}: {g:?} vs {w:?}"
-                );
-            }
-        }
-        simd::force_tier(None);
+        assert_softmax_tiers_agree(&base, &format!("softmax len={len}"));
     }
 
-    /// GEMM (through `linear_bias`, the live kernel that wraps it):
-    /// bitwise across every tier, shapes spanning the 8-wide column
-    /// strip, its remainder columns, and the row-quad remainder.
+    /// GEMM (through `linear_bias`, the live kernel that wraps it) and
+    /// the GELU epilogue (through `linear_bias_gelu`): bitwise across
+    /// every tier, shapes spanning the 8-wide column strip, its remainder
+    /// columns, the row-quad remainder and the epilogue's 4-lane tail.
+    /// Biases carry NaN, ±inf, -0 and magnitudes past 300, where the
+    /// GELU's inner `exp` flushes to zero.
     #[test]
     fn gemm_bitwise_across_tiers(
         seed in any::<u64>(),
         n in 1usize..24,
         kd in 1usize..20,
         m in 1usize..36,
+        special_every in 0usize..7,
     ) {
         let _g = lock();
         let mut rng = SplitMix64::new(seed);
         let a = random_matrix(&mut rng, n, kd);
         let b = random_matrix(&mut rng, kd, m);
-        let bias: Vec<f64> = (0..m).map(|_| rng.next_normal_with(0.0, 1.0)).collect();
+        let bias = gelu_bias(&mut rng, m, special_every);
         simd::force_tier(Some(Tier::Scalar));
         let want = kernels::linear_bias(&a, &b, &bias);
+        let want_gelu = kernels::linear_bias_gelu(&a, &b, &bias);
         for tier in simd::available_tiers() {
             simd::force_tier(Some(tier));
             let got = kernels::linear_bias(&a, &b, &bias);
+            let got_gelu = kernels::linear_bias_gelu(&a, &b, &bias);
             simd::force_tier(None);
             assert_matrix_bits_eq(&got, &want, &format!("gemm {n}x{kd}x{m} tier={tier:?}"));
+            assert_matrix_nan_bits_eq(
+                &got_gelu,
+                &want_gelu,
+                &format!("linear_bias_gelu {n}x{kd}x{m} tier={tier:?}"),
+            );
         }
         simd::force_tier(None);
+    }
+}
+
+/// A bias row for the GELU epilogue: normals, with every
+/// `special_every`-th entry one of NaN, ±inf, -0.0 or ±(300..2000).
+fn gelu_bias(rng: &mut SplitMix64, m: usize, special_every: usize) -> Vec<f64> {
+    (0..m)
+        .map(|j| {
+            if special_every != 0 && j % special_every == special_every - 1 {
+                match j / special_every % 6 {
+                    0 => f64::NAN,
+                    1 => f64::INFINITY,
+                    2 => f64::NEG_INFINITY,
+                    3 => -0.0,
+                    4 => 300.0 + 1700.0 * rng.next_f64(),
+                    _ => -300.0 - 1700.0 * rng.next_f64(),
+                }
+            } else {
+                rng.next_normal_with(0.0, 3.0)
+            }
+        })
+        .collect()
+}
+
+/// [`assert_matrix_bits_eq`] that accepts NaN against NaN (payloads are
+/// unspecified, see the module docs).
+fn assert_matrix_nan_bits_eq(got: &Matrix, want: &Matrix, what: &str) {
+    assert_eq!((got.rows(), got.cols()), (want.rows(), want.cols()), "{what}: shape");
+    for (i, (g, w)) in got.as_slice().iter().zip(want.as_slice()).enumerate() {
+        assert_bits_eq(*g, *w, &format!("{what}: element {i}"));
+    }
+}
+
+/// `softmax_fast_inplace` over `base` gives the same bits on every tier.
+fn assert_softmax_tiers_agree(base: &[f64], what: &str) {
+    simd::force_tier(Some(Tier::Scalar));
+    let mut want = base.to_vec();
+    kernels::softmax_fast_inplace(&mut want);
+    for tier in simd::available_tiers() {
+        simd::force_tier(Some(tier));
+        let mut got = base.to_vec();
+        kernels::softmax_fast_inplace(&mut got);
+        simd::force_tier(None);
+        for (i, (g, w)) in got.iter().zip(&want).enumerate() {
+            assert!(g.to_bits() == w.to_bits(), "{what} tier={tier:?} element {i}: {g:?} vs {w:?}");
+        }
+    }
+    simd::force_tier(None);
+}
+
+/// Fixed softmax edge rows at lengths 1–17 and 89–97 (every tail of the
+/// 8-lane max scan): ±0.0 as the max in both orders, all-NaN, all-−∞,
+/// a +∞ entry, and NaN mixed with finite logits.
+#[test]
+fn softmax_edge_rows_bitwise_across_tiers() {
+    let _g = lock();
+    let mut rng = SplitMix64::new(0x50f7);
+    for len in (1usize..=17).chain(89..=97) {
+        let negative: Vec<f64> = (0..len).map(|_| -1.0 - rng.next_f64()).collect();
+        let mut zero_max = negative.clone();
+        for (i, x) in zero_max.iter_mut().enumerate() {
+            if i % 3 == 0 {
+                *x = if i % 2 == 0 { 0.0 } else { -0.0 };
+            }
+        }
+        let mut zero_max_rev = zero_max.clone();
+        zero_max_rev.reverse();
+        let mut pos_inf = negative.clone();
+        pos_inf[len / 2] = f64::INFINITY;
+        let mut mixed_nan = fill(&mut rng, len, 0);
+        for x in mixed_nan.iter_mut().step_by(4) {
+            *x = f64::NAN;
+        }
+        let rows = [
+            ("±0 max", zero_max),
+            ("±0 max reversed", zero_max_rev),
+            ("+0 then -0", (0..len).map(|i| if i == 0 { 0.0 } else { -0.0 }).collect()),
+            ("-0 then +0", (0..len).map(|i| if i == 0 { -0.0 } else { 0.0 }).collect()),
+            ("all NaN", vec![f64::NAN; len]),
+            ("all -inf", vec![f64::NEG_INFINITY; len]),
+            ("+inf entry", pos_inf),
+            ("NaN mixed", mixed_nan),
+        ];
+        for (label, row) in rows {
+            assert_softmax_tiers_agree(&row, &format!("softmax {label} len={len}"));
+        }
     }
 }
 
