@@ -1,17 +1,20 @@
 //! Branch-light, vectorizable transcendental approximations for the
 //! encoder kernels.
 //!
-//! Profiling the scalar encoder shows `libm` transcendentals dominating
-//! both halves of a layer: `exp` is ~40% of attention (the softmax over
-//! `n_heads · n` rows of `n` logits) and `tanh` is ~35% of the GELU
-//! feed-forward. Both libm calls are precise to < 1 ULP but are opaque
-//! function calls the optimizer can neither inline nor vectorize.
+//! Profiling the scalar encoder showed `libm` transcendentals dominating
+//! both halves of a layer: `exp` was ~40% of attention (the softmax over
+//! `n_heads · n` rows of `n` logits) and the reference GELU's `tanh`
+//! ~35% of the feed-forward. Both libm calls are precise to < 1 ULP but
+//! are opaque function calls the optimizer can neither inline nor
+//! vectorize.
 //!
 //! The replacements here are classic range-reduction + polynomial
 //! evaluations written as straight-line arithmetic (no data-dependent
 //! branches, no table lookups), so the compiler can inline them into the
-//! kernels' loops and auto-vectorize. They are **not** substitutes for
-//! `f64::exp`/`f64::tanh` in general numeric code:
+//! kernels' loops; the AVX2 tier transcribes them lane for lane
+//! (`simd::x86`). [`gelu_approx`] needs no `tanh`: it is rewritten in
+//! terms of one [`exp_approx`]. Neither is a substitute for `f64::exp`
+//! in general numeric code:
 //!
 //! - [`exp_approx`] is specified on `[-∞, 709]` with a **flush-to-zero
 //!   cutoff**: any input below ≈ -708 (including `-∞`, and `NaN` after
@@ -99,29 +102,10 @@ pub fn exp_approx(x: f64) -> f64 {
     p * scale * keep
 }
 
-/// Fast `tanh` via [`exp_approx`]: `tanh(x) = sign(x)·(1-e)/(1+e)` with
-/// `e = exp(-2|x|) ∈ (0, 1]` — the argument of the inner `exp` is always
-/// non-positive, exactly the domain `exp_approx` is specified on. Small
-/// inputs (`|x| < 0.05`, where `1-e` would cancel) use the odd Taylor
-/// series instead. Saturates to `±1.0` for `|x| ≳ 354`. Finite inputs
-/// only.
-#[inline]
-#[allow(clippy::excessive_precision)] // Taylor coefficients keep derivation digits
-pub fn tanh_approx(x: f64) -> f64 {
-    let ax = x.abs();
-    if ax < 0.05 {
-        // tanh x = x - x³/3 + 2x⁵/15 - 17x⁷/315 + 62x⁹/2835 + O(x¹¹);
-        // the truncated term is < 1e-15 relative at |x| = 0.05.
-        let x2 = x * x;
-        return x
-            * (1.0
-                + x2 * (-3.333_333_333_333_333_3e-1
-                    + x2 * (1.333_333_333_333_333_3e-1
-                        + x2 * (-5.396_825_396_825_397e-2 + x2 * 2.186_948_853_615_52e-2))));
-    }
-    let e = exp_approx(-2.0 * ax);
-    ((1.0 - e) / (1.0 + e)).copysign(x)
-}
+/// `√(2/π)`, the outer factor of the GELU tanh argument.
+pub(crate) const GELU_C: f64 = 0.797_884_560_802_865_4;
+/// The cubic coefficient of the GELU tanh argument.
+pub(crate) const GELU_K: f64 = 0.044_715;
 
 /// Fast GELU (tanh form), algebraically rearranged so the negative tail
 /// never cancels: with `t = √(2/π)·(x + 0.044715·x³)` and
@@ -137,8 +121,7 @@ pub fn tanh_approx(x: f64) -> f64 {
 /// the bound coming from [`exp_approx`].
 #[inline]
 pub fn gelu_approx(x: f64) -> f64 {
-    const C: f64 = 0.797_884_560_802_865_4; // sqrt(2/pi)
-    let t = C * (x + 0.044_715 * x * x * x);
+    let t = GELU_C * (x + GELU_K * x * x * x);
     let e = exp_approx(-2.0 * t.abs());
     let num = if t >= 0.0 { 1.0 } else { e };
     x * num / (1.0 + e)
@@ -184,20 +167,6 @@ mod tests {
         assert_eq!(exp_approx(0.0), 1.0);
         assert!(rel_err(exp_approx(1.0), std::f64::consts::E) < 1e-15);
         assert!(exp_approx(709.5).is_finite(), "clamped, never overflows to inf");
-    }
-
-    #[test]
-    fn tanh_matches_libm_within_bound() {
-        let mut worst = 0.0f64;
-        let mut x = -30.0;
-        while x < 30.0 {
-            worst = worst.max(rel_err(tanh_approx(x), x.tanh()));
-            x += 0.003;
-        }
-        assert!(worst <= 1e-13, "tanh_approx worst relative error {worst:e}");
-        assert_eq!(tanh_approx(0.0), 0.0);
-        assert_eq!(tanh_approx(400.0), 1.0);
-        assert_eq!(tanh_approx(-400.0), -1.0);
     }
 
     #[test]
