@@ -74,7 +74,7 @@ impl Property for HeterogeneousContext {
         &self,
         model: &dyn TableEncoder,
         corpus: &[Table],
-        _ctx: &EvalContext,
+        ctx: &EvalContext,
     ) -> PropertyReport {
         let _span = obs::span(obs::Level::Info, "props", "P8")
             .with("model", model.name())
@@ -84,40 +84,53 @@ impl Property for HeterogeneousContext {
         let mut values: Vec<[Vec<f64>; 2]> =
             ContextSetting::ALL.iter().map(|_| [Vec::new(), Vec::new()]).collect();
         for table in corpus {
+            // Cancellation checkpoint: one table's variants form one
+            // encode_batch, as in P1.
+            if ctx.control.should_stop() {
+                break;
+            }
             let subject = subject_column(table);
-            let full_enc = model.encode_table(table);
+            // Every variant of this table goes into one batch: the full
+            // table first, then per column the column alone and its
+            // subject and neighbour projections. `plans[j]` holds the
+            // batch positions of column `j`'s variants.
+            let mut variants = vec![table.clone()];
+            let mut plans = Vec::with_capacity(table.num_cols());
             for j in 0..table.num_cols() {
-                let col = &table.columns[j];
-                let Some(single) = model.column_embedding(&column_as_table("single", col), 0)
-                else {
+                let mut push = |t: Table| {
+                    variants.push(t);
+                    variants.len() - 1
+                };
+                let single = push(column_as_table("single", &table.columns[j]));
+                let with_subject =
+                    subject.filter(|&s| s != j).map(|s| push(table.project(&[s, j])));
+                let mut cols = neighbor_columns(table, j);
+                let with_neighbors = (!cols.is_empty()).then(|| {
+                    let pos = cols.iter().filter(|&&c| c < j).count();
+                    cols.insert(pos, j);
+                    (push(table.project(&cols)), pos)
+                });
+                plans.push((single, with_subject, with_neighbors));
+            }
+            let encodings = ctx.engine.encode_batch(model, &variants);
+            for (j, (single, with_subject, with_neighbors)) in plans.into_iter().enumerate() {
+                let Some(single) = encodings[single].column(0) else {
                     continue;
                 };
-                let slot = usize::from(is_textual(col));
-                for (si, setting) in ContextSetting::ALL.iter().enumerate() {
-                    let contextual = match setting {
-                        ContextSetting::SubjectColumn => {
-                            let Some(s) = subject else { continue };
-                            if s == j {
-                                continue;
-                            }
-                            model.encode_table(&table.project(&[s, j])).column(1)
-                        }
-                        ContextSetting::NeighboringColumns => {
-                            let mut cols = neighbor_columns(table, j);
-                            if cols.is_empty() {
-                                continue;
-                            }
-                            let pos = cols.iter().filter(|&&c| c < j).count();
-                            cols.insert(pos, j);
-                            model.encode_table(&table.project(&cols)).column(pos)
-                        }
-                        ContextSetting::EntireTable => full_enc.column(j),
-                    };
-                    if let Some(c) = contextual {
+                let slot = usize::from(is_textual(&table.columns[j]));
+                // In `ContextSetting::ALL` order.
+                let contextual = [
+                    with_subject.and_then(|i| encodings[i].column(1)),
+                    with_neighbors.and_then(|(i, pos)| encodings[i].column(pos)),
+                    encodings[0].column(j),
+                ];
+                for (si, c) in contextual.into_iter().enumerate() {
+                    if let Some(c) = c {
                         values[si][slot].push(cosine(&single, &c));
                     }
                 }
             }
+            ctx.control.advance(1);
         }
         for (si, setting) in ContextSetting::ALL.iter().enumerate() {
             let [non_textual, textual] = &values[si];
@@ -132,9 +145,13 @@ impl Property for HeterogeneousContext {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::framework::RunControl;
+    use crate::report::render_report;
     use observatory_data::sotab::SotabConfig;
     use observatory_models::registry::model_by_name;
+    use observatory_runtime::{Engine, EngineConfig};
     use observatory_stats::descriptive::mean;
+    use std::sync::Arc;
 
     fn corpus() -> Vec<Table> {
         SotabConfig { num_tables: 6, rows: 6, seed: 77 }.generate()
@@ -176,6 +193,55 @@ mod tests {
             HeterogeneousContext.evaluate(model.as_ref(), &corpus(), &EvalContext::default());
         let table = report.distribution("table/non-textual").unwrap();
         assert!(table.values.iter().any(|v| *v < 1.0 - 1e-6));
+    }
+
+    /// Cancels its control on the first encode, so P8 is cancelled while
+    /// it works on the first corpus table.
+    struct CancelOnEncode {
+        inner: Box<dyn TableEncoder>,
+        control: RunControl,
+    }
+
+    impl TableEncoder for CancelOnEncode {
+        fn name(&self) -> &str {
+            self.inner.name()
+        }
+        fn display_name(&self) -> &str {
+            self.inner.display_name()
+        }
+        fn dim(&self) -> usize {
+            self.inner.dim()
+        }
+        fn capabilities(&self) -> observatory_models::Capabilities {
+            self.inner.capabilities()
+        }
+        fn encode_table(&self, table: &Table) -> observatory_models::ModelEncoding {
+            self.control.cancel();
+            self.inner.encode_table(table)
+        }
+        fn encode_text(&self, text: &str) -> Vec<f64> {
+            self.inner.encode_text(text)
+        }
+    }
+
+    #[test]
+    fn cancel_stops_within_one_table() {
+        let corpus = corpus();
+        let control = RunControl::armed(None);
+        let model =
+            CancelOnEncode { inner: model_by_name("bert").unwrap(), control: control.clone() };
+        // A private uncached engine: every variant reaches the model.
+        let engine = Arc::new(Engine::new(EngineConfig::serial_uncached()));
+        let ctx = EvalContext { seed: 42, engine, control: control.clone() };
+        let cancelled = HeterogeneousContext.evaluate(&model, &corpus, &ctx);
+        assert_eq!(control.units_done(), 1, "exactly the table in flight completes");
+        // The partial report is exactly the report of the first table.
+        let first = HeterogeneousContext.evaluate(
+            model.inner.as_ref(),
+            &corpus[..1],
+            &EvalContext::default(),
+        );
+        assert_eq!(render_report(&cancelled), render_report(&first));
     }
 
     #[test]
