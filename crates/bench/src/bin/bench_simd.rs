@@ -9,8 +9,9 @@
 //! Same process, same buffers, tier forced via `simd::force_tier`: the
 //! dispatch tier is the only variable between rows. Output is one JSON
 //! document (written to the path in `argv[1]`, default
-//! `BENCH_simd.json`) with per-row `ns_per_op` and per-kernel speedup
-//! summaries; DESIGN.md §11's table quotes it directly.
+//! `BENCH_simd.json`) with the host's CPU model and count, per-row
+//! `ns_per_op` and per-kernel speedup summaries; DESIGN.md §11's table
+//! quotes it directly.
 //!
 //! Methodology: per row, warm up, then repeat timed batches (each sized
 //! to ≥ ~20 ms) and keep the **minimum** ns/op across batches — the
@@ -201,6 +202,7 @@ fn main() {
 
     let mut json = String::new();
     json.push_str("{\n");
+    json.push_str(&format!("  \"host\": \"{}\",\n", host()));
     json.push_str(&format!("  \"simd\": \"{}\",\n", simd::decision().describe()));
     json.push_str(&format!(
         "  \"tiers\": [{}],\n",
@@ -222,4 +224,20 @@ fn main() {
     json.push_str("  ]\n}\n");
     std::fs::write(&out_path, &json).expect("write BENCH_simd.json");
     println!("wrote {} rows -> {out_path}", rows.len());
+}
+
+/// The machine the numbers were taken on: CPU model and logical CPU
+/// count (from `/proc/cpuinfo` where it exists).
+fn host() -> String {
+    let model = std::fs::read_to_string("/proc/cpuinfo")
+        .ok()
+        .and_then(|info| {
+            info.lines()
+                .find(|l| l.starts_with("model name"))
+                .and_then(|l| l.split_once(':'))
+                .map(|(_, v)| v.trim().replace('"', "'"))
+        })
+        .unwrap_or_else(|| std::env::consts::ARCH.to_string());
+    let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
+    format!("{model}, {cpus} logical CPUs")
 }

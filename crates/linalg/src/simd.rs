@@ -732,27 +732,6 @@ mod tests {
 
     #[cfg(target_arch = "x86_64")]
     #[test]
-    fn vector_max_scan_matches_scalar() {
-        if detect() < Tier::Avx2 {
-            return;
-        }
-        let mut rng = crate::rng::SplitMix64::new(5);
-        for len in 0..40usize {
-            let mut xs: Vec<f64> = (0..len).map(|_| rng.next_normal_with(0.0, 3.0)).collect();
-            for (i, special) in [(2, f64::NAN), (9, f64::INFINITY), (17, f64::NAN)] {
-                let want = max_nan_scan_scalar(&xs);
-                let got = unsafe { x86::max_nan_scan_avx2(&xs) };
-                assert_eq!(got.0.to_bits(), want.0.to_bits(), "max len={len}");
-                assert_eq!(got.1, want.1, "nan flag len={len}");
-                if i < len {
-                    xs[i] = special;
-                }
-            }
-        }
-    }
-
-    #[cfg(target_arch = "x86_64")]
-    #[test]
     fn vector_exp_sum_matches_scalar_bitwise() {
         if detect() < Tier::Avx2 {
             return;

@@ -152,9 +152,9 @@ impl Encoder {
     /// input limits of the real models (paper §4.3).
     ///
     /// All intermediates run through the per-thread [`workspace`] pool
-    /// and no attention map is computed, so a steady-state call performs **zero heap
-    /// allocations** after warmup (the returned matrix itself comes from
-    /// the pool; callers on a hot path can hand it back with
+    /// and no attention map is computed, so a steady-state call performs
+    /// **zero heap allocations** after warmup (the returned matrix itself
+    /// comes from the pool; callers on a hot path can hand it back with
     /// [`workspace::recycle_matrix`]).
     ///
     /// # Panics
